@@ -3,8 +3,8 @@
 A global pulse addresses one species/crossing class at a time: every site of
 the class receives the same rotation, conditioned on all of its ZZ-coupled
 neighbors being in |g>.  Because targets and controls live on opposite sides
-of the bipartite device graph, the per-site factors commute; they are applied
-in ascending site index.
+of the bipartite device graph, the per-site factors commute, and a class
+pulse acts on the whole state at once.
 
 Named macros built here: the eight-pulse exchange sequence, its ten-pulse
 inverse, the 2pi conditional-phase pulse on the in-loop qubit, the five-pulse
@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .state import PureState, State, _rotate_site, apply_controlled_rotation, control_mask, rotation_matrix
+from .state import PureState, State, control_mask, rotate_sites, rotation_matrix
 from .topology import BASELINE, Crossing, DeviceTopology, Family
 
 X_AXIS = (1.0, 0.0, 0.0)
@@ -59,6 +59,8 @@ class GlobalPulse:
 
     def __post_init__(self):
         nx, ny, nz = self.axis
+        if not math.isfinite(self.theta + nx + ny + nz):  # any NaN or inf makes the sum non-finite
+            raise ValueError(f"pulse theta and axis must be finite, got theta={self.theta}, axis={self.axis}")
         if abs(math.sqrt(nx * nx + ny * ny + nz * nz) - 1.0) > 1e-12:
             raise ValueError(f"pulse axis must be unit length, got {self.axis}")
         if not -2 * math.pi <= self.theta <= 2 * math.pi:
@@ -105,14 +107,27 @@ def class_sites(topo: DeviceTopology, target: TargetClass) -> tuple[int, ...]:
     return topo.sites_of(family, crossing)
 
 
+def class_masks(topo: DeviceTopology, target: TargetClass) -> tuple[np.ndarray, np.ndarray]:
+    """Target bit and blockade control mask of every site in the class, in
+    ascending site order; built once per device."""
+    hit = topo.tables.get(target)
+    if hit is None:
+        sites = sorted(class_sites(topo, target))
+        # The init line is a local control line, not blockade-conditioned.
+        masks = [0 if target is TargetClass.INIT_LINE else control_mask(topo.neighbor_map[s]) for s in sites]
+        if any(m & (1 << s) for m in masks for s in sites):
+            raise ValueError(f"target class {target.value} has sites that block each other")
+        hit = (np.array([1 << s for s in sites], dtype=np.int64), np.array(masks, dtype=np.int64))
+        topo.tables[target] = hit
+    return hit
+
+
 # Conditional pi pulses about x dominate every macro; on the bipartite graph
 # a whole class pulse is then an involutive basis permutation with a phase
 # per flipped site, so it collapses to one gather + one multiply on dense
-# states.  Tables are cached per (device, class); dense tables only for
-# devices small enough that 2 * 2^n_sites entries are cheap.
+# states.  Tables live with the device; dense tables only for devices small
+# enough that 2 * 2^n_sites entries are cheap.
 _PI_X_TABLE_MAX_QUBITS = 20
-_PI_X_TABLES: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
-_PI_X_KEEPALIVE: dict[int, DeviceTopology] = {}
 _QUARTER_PHASES = {
     1.0: np.array([1, -1j, -1, 1j], dtype=np.complex128),  # (-i)^k
     -1.0: np.array([1, 1j, -1, -1j], dtype=np.complex128),  # (+i)^k
@@ -120,36 +135,27 @@ _QUARTER_PHASES = {
 
 
 def _pi_x_tables(topo: DeviceTopology, target: TargetClass, sign: float):
-    key = (id(topo), f"{target.value}/{sign}")
-    hit = _PI_X_TABLES.get(key)
+    key = ("pi_x", target, sign)
+    hit = topo.tables.get(key)
     if hit is None:
         idx = np.arange(1 << len(topo.sites), dtype=np.int64)
         flip = np.zeros_like(idx)
-        count = np.zeros(idx.shape, dtype=np.int64)
-        for site in class_sites(topo, target):
-            cond = (idx & control_mask(topo.neighbor_map[site])) == 0
-            flip |= np.where(cond, 1 << site, 0)
+        count = np.zeros_like(idx)
+        for tbit, cmask in zip(*class_masks(topo, target)):
+            cond = (idx & cmask) == 0
+            flip |= np.where(cond, tbit, 0)
             count += cond
-        if len(_PI_X_TABLES) > 64:
-            _PI_X_TABLES.clear()
-            _PI_X_KEEPALIVE.clear()
         hit = (idx ^ flip, _QUARTER_PHASES[sign][count & 3])
-        _PI_X_TABLES[key] = hit
-        _PI_X_KEEPALIVE[id(topo)] = topo
+        topo.tables[key] = hit
     return hit
 
 
 def apply_global_pulse(state: State, topo: DeviceTopology, pulse: GlobalPulse) -> State:
     """Apply one blockade-conditioned rotation per site of the target class."""
-    if pulse.target is TargetClass.INIT_LINE:
-        if topo.kind != BASELINE:
-            raise ValueError("the initialization line exists only on the baseline design")
-        # Local control line, not blockade-conditioned.
-        for site in topo.init_targets:
-            apply_controlled_rotation(state, site, (), pulse.theta, pulse.axis)
-        return state
-    sites = class_sites(topo, pulse.target)
-    if not sites:
+    if pulse.target is TargetClass.INIT_LINE and topo.kind != BASELINE:
+        raise ValueError("the initialization line exists only on the baseline design")
+    tbits, cmasks = class_masks(topo, pulse.target)
+    if not len(tbits):
         raise ValueError(f"target class {pulse.target.value} is empty on a {topo.kind} device")
     if (
         isinstance(state, PureState)
@@ -160,15 +166,7 @@ def apply_global_pulse(state: State, topo: DeviceTopology, pulse: GlobalPulse) -
         perm, phase = _pi_x_tables(topo, pulse.target, math.copysign(1.0, pulse.theta))
         np.multiply(state.amplitudes[perm], phase, out=state.amplitudes)
         return state
-    if pulse.target is TargetClass.B_ALL:
-        # Regular then crossed; the two sub-classes commute.
-        apply_global_pulse(state, topo, GlobalPulse(TargetClass.B_REGULAR, pulse.theta, pulse.axis))
-        apply_global_pulse(state, topo, GlobalPulse(TargetClass.B_CROSSED, pulse.theta, pulse.axis))
-        return state
-    nbrs = topo.neighbor_map
-    r = rotation_matrix(pulse.theta, pulse.axis)
-    for site in sorted(sites):
-        _rotate_site(state, site, control_mask(nbrs[site]), r)
+    rotate_sites(state, tbits, cmasks, rotation_matrix(pulse.theta, pulse.axis))
     return state
 
 

@@ -2,13 +2,16 @@
 
 Basis convention: little-endian, bit i of the basis index is qubit i,
 bit value 0 = |g>, 1 = |e>.  Rotations follow R(theta, n) =
-exp(-i (theta/2) n.sigma).  The sparse backend stores a basis-index ->
-amplitude map and prunes entries below a tolerance after every update.
+exp(-i (theta/2) n.sigma).  The sparse backend stores its support as two
+arrays, basis indices and amplitudes, and prunes entries below a tolerance
+whenever a rotation splits amplitudes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from collections.abc import Mapping
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -17,6 +20,9 @@ from .topology import DeviceTopology
 
 SPARSE_PRUNE_TOL = 1e-12
 DECODE_TOL = 1e-9
+# Largest state each backend can hold: 2^26 complex128 amplitudes are 1 GiB,
+# and sparse basis indices are int64.
+MAX_QUBITS = {"dense": 26, "sparse": 63}
 
 
 class PhaseLabel(str, Enum):
@@ -47,12 +53,38 @@ class PureState:
 
 @dataclass
 class SparseState:
+    """The support of a state: distinct basis indices (int64, in no set
+    order) and their amplitudes (complex128)."""
+
     n_qubits: int
-    amplitudes: dict[int, complex] = field(default_factory=dict)
+    indices: np.ndarray
+    values: np.ndarray
     prune_tolerance: float = SPARSE_PRUNE_TOL
 
+    @property
+    def amplitudes(self) -> Mapping[int, complex]:
+        """Read-only {basis index: amplitude} view of the support."""
+        return _SupportView(self)
+
     def copy(self) -> "SparseState":
-        return SparseState(self.n_qubits, dict(self.amplitudes), self.prune_tolerance)
+        return SparseState(self.n_qubits, self.indices.copy(), self.values.copy(), self.prune_tolerance)
+
+
+class _SupportView(Mapping):
+    def __init__(self, state: SparseState):
+        self._state = state
+
+    def __len__(self) -> int:
+        return len(self._state.indices)
+
+    def __iter__(self):
+        return iter(self._state.indices.tolist())
+
+    def __getitem__(self, index: int) -> complex:
+        (hit,) = np.nonzero(self._state.indices == index)
+        if not len(hit):
+            raise KeyError(index)
+        return complex(self._state.values[hit[0]])
 
 
 State = PureState | SparseState
@@ -66,34 +98,43 @@ class LogicalStateVector:
     amplitudes: np.ndarray
 
 
+def _check_size(n_qubits: int, backend: str) -> None:
+    if backend not in MAX_QUBITS:
+        raise ValueError(f"unknown backend {backend!r}")
+    if n_qubits > MAX_QUBITS[backend]:
+        raise ValueError(
+            f"{n_qubits} qubits exceed the {backend} backend's limit of {MAX_QUBITS[backend]}"
+            + ("; use the sparse backend" if backend == "dense" else "")
+        )
+
+
 def all_ground(n_qubits: int, backend: str = "dense") -> State:
     if n_qubits < 1:
         raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
+    _check_size(n_qubits, backend)
     if backend == "dense":
         amp = np.zeros(1 << n_qubits, dtype=np.complex128)
         amp[0] = 1.0
         return PureState(n_qubits, amp)
-    if backend == "sparse":
-        return SparseState(n_qubits, {0: 1.0 + 0.0j})
-    raise ValueError(f"unknown backend {backend!r}")
+    return SparseState(n_qubits, np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128))
 
 
 def norm(state: State) -> float:
-    if isinstance(state, PureState):
-        return float(np.linalg.norm(state.amplitudes))
-    return float(np.sqrt(sum(abs(a) ** 2 for a in state.amplitudes.values())))
+    return float(np.linalg.norm(state.amplitudes if isinstance(state, PureState) else state.values))
 
 
 def rotation_matrix(theta: float, axis) -> np.ndarray:
     nx, ny, nz = axis
-    length = np.sqrt(nx * nx + ny * ny + nz * nz)
+    if not math.isfinite(theta + nx + ny + nz):  # any NaN or inf makes the sum non-finite
+        raise ValueError(f"rotation needs finite theta and axis, got theta={theta}, axis={axis}")
+    length = math.sqrt(nx * nx + ny * ny + nz * nz)
     if abs(length - 1.0) > 1e-12:
         raise ValueError(f"rotation axis must be unit length, |n| = {length}")
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
     return np.array(
         [
-            [c - 1j * s * nz, -s * (1j * nx + ny)],
-            [s * (-1j * nx + ny), c + 1j * s * nz],
+            [complex(c, -s * nz), complex(-s * ny, -s * nx)],
+            [complex(s * ny, -s * nx), complex(c, s * nz)],
         ],
         dtype=np.complex128,
     )
@@ -124,45 +165,66 @@ def _kernel_indices(n_qubits: int, tbit: int, ctrl_mask: int):
     return pair
 
 
-def _rotate_site(state: State, target: int, ctrl_mask: int, r: np.ndarray) -> None:
-    tbit = 1 << target
+def _rotate_dense_site(state: PureState, tbit: int, ctrl_mask: int, r: np.ndarray) -> None:
     r00, r01, r10, r11 = r[0, 0], r[0, 1], r[1, 0], r[1, 1]
+    i0, i1 = _kernel_indices(state.n_qubits, tbit, ctrl_mask)
+    amp = state.amplitudes
+    if abs(r01) < _MATRIX_SNAP and abs(r10) < _MATRIX_SNAP:
+        amp[i0] *= r00
+        amp[i1] *= r11
+    elif abs(r00) < _MATRIX_SNAP and abs(r11) < _MATRIX_SNAP:
+        a0 = amp[i0].copy()
+        amp[i0] = r01 * amp[i1]
+        amp[i1] = r10 * a0
+    else:
+        a0, a1 = amp[i0], amp[i1]
+        amp[i0] = r00 * a0 + r01 * a1
+        amp[i1] = r10 * a0 + r11 * a1
+
+
+def _rotate_sparse(state: SparseState, tbits: np.ndarray, cmasks: np.ndarray, r: np.ndarray) -> None:
+    r00, r01, r10, r11 = r[0, 0], r[0, 1], r[1, 0], r[1, 1]
+    idx, val = state.indices, state.values
     diag = abs(r01) < _MATRIX_SNAP and abs(r10) < _MATRIX_SNAP
-    anti = abs(r00) < _MATRIX_SNAP and abs(r11) < _MATRIX_SNAP
-
-    if isinstance(state, PureState):
-        i0, i1 = _kernel_indices(state.n_qubits, tbit, ctrl_mask)
-        amp = state.amplitudes
-        if diag:
-            amp[i0] *= r00
-            amp[i1] *= r11
-        elif anti:
-            a0 = amp[i0].copy()
-            amp[i0] = r01 * amp[i1]
-            amp[i1] = r10 * a0
-        else:
-            a0, a1 = amp[i0], amp[i1]
-            amp[i0] = r00 * a0 + r01 * a1
-            amp[i1] = r10 * a0 + r11 * a1
+    if diag or (abs(r00) < _MATRIX_SNAP and abs(r11) < _MATRIX_SNAP):
+        # Every entry keeps its norm and moves to one place: multiply by the
+        # factor of each conditioned site and, off the diagonal, flip the
+        # conditioned target bits.  No two entries can meet, since the flips
+        # never touch a control bit.
+        cond = (idx[:, None] & cmasks) == 0
+        on, off = (r11, r00) if diag else (r01, r10)  # factor when the target bit is 1 / 0
+        factor = off if on == off else np.where((idx[:, None] & tbits) != 0, on, off)
+        val *= np.where(cond, factor, 1).prod(axis=1)
+        if not diag:
+            idx ^= cond @ tbits
         return
+    # Splitting rotation: site by site, send each conditioned entry to both
+    # values of the target bit, then add up entries that land on one index.
+    for tbit, cmask in zip(tbits, cmasks):
+        cond = (idx & cmask) == 0
+        ci, cv = idx[cond], val[cond]
+        on = (ci & tbit) != 0
+        low = ci & ~tbit
+        merged, where = np.unique(np.concatenate([low, low | tbit]), return_inverse=True)
+        split = np.concatenate([cv * np.where(on, r01, r00), cv * np.where(on, r11, r10)])
+        summed = np.empty(len(merged), dtype=np.complex128)
+        summed.real = np.bincount(where, split.real, len(merged))
+        summed.imag = np.bincount(where, split.imag, len(merged))
+        keep = np.abs(summed) >= state.prune_tolerance
+        idx = np.concatenate([idx[~cond], merged[keep]])
+        val = np.concatenate([val[~cond], summed[keep]])
+    state.indices, state.values = idx, val
 
-    out: dict[int, complex] = {}
-    for idx, a in state.amplitudes.items():
-        if idx & ctrl_mask:
-            out[idx] = out.get(idx, 0j) + a
-        elif diag:
-            out[idx] = out.get(idx, 0j) + (r11 if idx & tbit else r00) * a
-        elif anti:
-            flipped = idx ^ tbit
-            m = r10 if flipped & tbit else r01
-            out[flipped] = out.get(flipped, 0j) + m * a
-        else:
-            col = 1 if idx & tbit else 0
-            ig, ie = idx & ~tbit, idx | tbit
-            out[ig] = out.get(ig, 0j) + r[0, col] * a
-            out[ie] = out.get(ie, 0j) + r[1, col] * a
-    tol = state.prune_tolerance
-    state.amplitudes = {k: v for k, v in out.items() if abs(v) >= tol}
+
+def rotate_sites(state: State, tbits: np.ndarray, cmasks: np.ndarray, r: np.ndarray) -> None:
+    """Apply `r` to every target bit `tbits[k]` on the subspace where the
+    bits of `cmasks[k]` are all |g>.  No target bit may lie in any control
+    mask, so the per-site factors commute."""
+    if isinstance(state, PureState):
+        for tbit, cmask in zip(tbits.tolist(), cmasks.tolist()):
+            _rotate_dense_site(state, tbit, cmask, r)
+    else:
+        _rotate_sparse(state, tbits, cmasks, r)
 
 
 def control_mask(control_sites) -> int:
@@ -180,20 +242,21 @@ def apply_controlled_rotation(state: State, target: int, control_sites, theta: f
         raise ValueError(f"target {target} cannot also be a control")
     if not 0 <= target < state.n_qubits or any(not 0 <= c < state.n_qubits for c in controls):
         raise ValueError("site id out of range")
-    _rotate_site(state, target, control_mask(controls), rotation_matrix(theta, axis))
+    r = rotation_matrix(theta, axis)
+    rotate_sites(state, np.array([1 << target]), np.array([control_mask(controls)]), r)
     return state
 
 
 def to_sparse(state: PureState, prune_tolerance: float = SPARSE_PRUNE_TOL) -> SparseState:
     amp = state.amplitudes
     (nz,) = np.nonzero(np.abs(amp) >= prune_tolerance)
-    return SparseState(state.n_qubits, {int(i): complex(amp[i]) for i in nz}, prune_tolerance)
+    return SparseState(state.n_qubits, nz.astype(np.int64), amp[nz], prune_tolerance)
 
 
 def to_dense(state: SparseState) -> PureState:
+    _check_size(state.n_qubits, "dense")
     amp = np.zeros(1 << state.n_qubits, dtype=np.complex128)
-    for idx, a in state.amplitudes.items():
-        amp[idx] = a
+    amp[state.indices] = state.values
     return PureState(state.n_qubits, amp)
 
 
@@ -201,16 +264,11 @@ def _inner(s1: State, s2: State) -> complex:
     if isinstance(s1, PureState) and isinstance(s2, PureState):
         return complex(np.vdot(s1.amplitudes, s2.amplitudes))
     if isinstance(s1, SparseState) and isinstance(s2, SparseState):
-        small, big = (s1, s2) if len(s1.amplitudes) <= len(s2.amplitudes) else (s2, s1)
-        acc = 0j
-        for idx, a in small.amplitudes.items():
-            b = big.amplitudes.get(idx)
-            if b is not None:
-                acc += (a.conjugate() * b) if small is s1 else (b.conjugate() * a)
-        return acc
+        _, i1, i2 = np.intersect1d(s1.indices, s2.indices, assume_unique=True, return_indices=True)
+        return complex(np.vdot(s1.values[i1], s2.values[i2]))
     if isinstance(s1, SparseState):
-        return sum(a.conjugate() * complex(s2.amplitudes[i]) for i, a in s1.amplitudes.items())
-    return sum(complex(s1.amplitudes[i]).conjugate() * a for i, a in s2.amplitudes.items())
+        return complex(np.vdot(s1.values, s2.amplitudes[s1.indices]))
+    return complex(np.vdot(s1.amplitudes[s2.indices], s2.values))
 
 
 def fidelity(s1: State, s2: State) -> float:
@@ -259,39 +317,51 @@ def encode_well_formed(
             f"logical state has {psi.n_qubits} qubits but device encodes {topo.n_logical}"
         )
     n_phys = topo.n_sites
+    _check_size(n_phys, backend)
     table = _ic_spread_table(topo) | _sector_mask(topo, phase)
     if backend == "dense":
         amp = np.zeros(1 << n_phys, dtype=np.complex128)
         amp[table] = psi.amplitudes
         return PureState(n_phys, amp)
-    if backend == "sparse":
-        entries = {
-            int(table[m]): complex(psi.amplitudes[m])
-            for m in range(1 << psi.n_qubits)
-            if abs(psi.amplitudes[m]) >= SPARSE_PRUNE_TOL
-        }
-        return SparseState(n_phys, entries)
-    raise ValueError(f"unknown backend {backend!r}")
+    amp = np.asarray(psi.amplitudes, dtype=np.complex128)
+    keep = np.abs(amp) >= SPARSE_PRUNE_TOL
+    return SparseState(n_phys, table[keep], amp[keep])
 
 
-def _project_logical(state: State, table: np.ndarray) -> np.ndarray:
+def _logical_positions(state: SparseState, topo: DeviceTopology, phase: PhaseLabel) -> np.ndarray:
+    """Logical basis index of each stored entry; -1 where the entry lies
+    outside the `phase` encoding."""
+    idx = state.indices
+    pos = np.zeros_like(idx)
+    for j, site in enumerate(topo.ic_sites):
+        pos |= ((idx >> site) & 1) << j
+    inside = (idx & ~control_mask(topo.ic_sites)) == _sector_mask(topo, phase)
+    return np.where(inside, pos, -1)
+
+
+def _project_logical(state: State, topo: DeviceTopology, phase: PhaseLabel) -> np.ndarray:
     if isinstance(state, PureState):
-        return state.amplitudes[table].copy()
-    return np.array([state.amplitudes.get(int(i), 0j) for i in table], dtype=np.complex128)
+        return state.amplitudes[_ic_spread_table(topo) | _sector_mask(topo, phase)]
+    pos = _logical_positions(state, topo, phase)
+    inside = pos >= 0
+    c = np.zeros(1 << topo.n_logical, dtype=np.complex128)
+    c[pos[inside]] = state.values[inside]
+    return c
 
 
-def _complement_weight(state: State, table: np.ndarray) -> float:
+def _complement_weight(state: State, topo: DeviceTopology, phase: PhaseLabel) -> float:
     # Summed directly over out-of-subspace entries: subtracting two O(1)
     # norms would hide anything below the float cancellation floor ~1e-8.
     if isinstance(state, PureState):
+        table = _ic_spread_table(topo) | _sector_mask(topo, phase)
         amp = state.amplitudes
         saved = amp[table].copy()
         amp[table] = 0.0
         weight = float(np.vdot(amp, amp).real)
         amp[table] = saved
         return weight
-    keep = set(int(i) for i in table)
-    return float(sum(abs(a) ** 2 for i, a in state.amplitudes.items() if i not in keep))
+    outside = state.values[_logical_positions(state, topo, phase) < 0]
+    return float(np.vdot(outside, outside).real)
 
 
 def well_formed_residual(state: State, topo: DeviceTopology):
@@ -299,16 +369,14 @@ def well_formed_residual(state: State, topo: DeviceTopology):
 
     Returns (residual, phase, logical_amplitudes).
     """
-    spread = _ic_spread_table(topo)
     best = None
     for phase in (PhaseLabel.FP, PhaseLabel.PF):
-        c = _project_logical(state, spread | _sector_mask(topo, phase))
+        c = _project_logical(state, topo, phase)
         weight = float(np.sum(np.abs(c) ** 2))
         if best is None or weight > best[0]:
             best = (weight, phase, c)
     _, phase, c = best
-    table = spread | _sector_mask(topo, phase)
-    residual = float(np.sqrt(_complement_weight(state, table)))
+    residual = float(np.sqrt(_complement_weight(state, topo, phase)))
     return residual, phase, c
 
 
@@ -343,14 +411,17 @@ def random_logical_state(n_qubits: int, rng: np.random.Generator) -> LogicalStat
 
 def state_csv_lines(state: State, threshold: float = 1e-12) -> list[str]:
     """CSV rows (hex basis index, real, imag) for entries above threshold."""
-    lines = ["index,real,imag"]
     if isinstance(state, PureState):
-        (nz,) = np.nonzero(np.abs(state.amplitudes) > threshold)
-        items = [(int(i), complex(state.amplitudes[i])) for i in nz]
+        (idx,) = np.nonzero(np.abs(state.amplitudes) > threshold)
+        val = state.amplitudes[idx]
     else:
-        items = sorted((i, a) for i, a in state.amplitudes.items() if abs(a) > threshold)
-    for idx, a in items:
-        lines.append(f"{idx:#x},{a.real:.17g},{a.imag:.17g}")
+        order = np.argsort(state.indices)
+        idx, val = state.indices[order], state.values[order]
+        keep = np.abs(val) > threshold
+        idx, val = idx[keep], val[keep]
+    lines = ["index,real,imag"]
+    for i, a in zip(idx.tolist(), val.tolist()):
+        lines.append(f"{i:#x},{a.real:.17g},{a.imag:.17g}")
     return lines
 
 

@@ -89,6 +89,13 @@ class DeviceTopology:
             nbrs[j].add(i)
         return {k: frozenset(v) for k, v in nbrs.items()}
 
+    @cached_property
+    def tables(self) -> dict:
+        """Arrays derived from this device by the pulse engine (class masks,
+        permutation tables), built on first use and dropped with the device.
+        Threads that race to build an entry build equal ones."""
+        return {}
+
     def sites_of(self, family: Family, crossing: Crossing) -> tuple[int, ...]:
         return tuple(
             s.index
@@ -309,12 +316,26 @@ def from_json_dict(doc: dict) -> DeviceTopology:
     hand-built graphs survive the round trip and can be reported by
     ``validate``; index-convention fields are derived from N and kind.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"topology document must be a JSON object, got {type(doc).__name__}")
     if doc.get("format") != FORMAT_VERSION:
         raise ValueError(f"unsupported topology format {doc.get('format')!r}, expected {FORMAT_VERSION}")
+    try:
+        return _from_json_fields(doc)
+    except KeyError as e:
+        raise ValueError(f"topology document is missing key {e}") from None
+    except TypeError as e:
+        raise ValueError(f"malformed topology document: {e}") from None
+
+
+def _from_json_fields(doc: dict) -> DeviceTopology:
     kind = doc["kind"]
     if kind != BASELINE and kind not in VARIANT_KINDS:
         raise ValueError(f"unknown topology kind {kind!r}")
     n = int(doc["n_logical"])
+    min_n = 4 if kind == BASELINE else 8  # the builders' minimum: Q_1..Q_3, or Q_8 for couplers
+    if n < min_n:
+        raise ValueError(f"a {kind} topology needs n_logical >= {min_n}, got {n}")
     sites = tuple(
         Site(
             int(s["index"]),

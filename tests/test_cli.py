@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 
@@ -13,7 +14,7 @@ from conveyorqc.state import (
     random_logical_state,
     state_csv_lines,
 )
-from conveyorqc.topology import load
+from conveyorqc.topology import build_conveyor, load, to_json_dict
 
 
 def run_cli(capsys, *argv):
@@ -208,3 +209,42 @@ def test_blockade_sweep_command(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "eta,p_flip_gg,p_leak_ge,p_leak_ee"
     assert len(lines) == 3
+
+
+def _run_on_topology_doc(tmp_path, capsys, doc):
+    topo_file = tmp_path / "topo.json"
+    topo_file.write_text(json.dumps(doc))
+    sched = tmp_path / "init.txt"
+    sched.write_text("MACRO INIT\n")
+    return run_cli(
+        capsys, "run", "--topology", str(topo_file), "--schedule", str(sched), "--out", str(tmp_path / "s.csv")
+    )
+
+
+def test_run_rejects_topology_with_missing_key(tmp_path, capsys):
+    doc = to_json_dict(build_conveyor(4))
+    del doc["edges"]
+    code, report = _run_on_topology_doc(tmp_path, capsys, doc)
+    assert code == 2 and report["status"] == "error" and "'edges'" in report["error"]
+
+
+def test_run_rejects_variant_topology_below_eight_qubits(tmp_path, capsys):
+    doc = to_json_dict(build_conveyor(4))
+    doc["kind"] = "two_coupler_three_species"
+    code, report = _run_on_topology_doc(tmp_path, capsys, doc)
+    assert code == 2 and report["status"] == "error" and "n_logical >= 8" in report["error"]
+
+
+def test_run_dense_refuses_oversized_device(tmp_path, capsys):
+    topo_file = tmp_path / "topo8.json"
+    run_cli(capsys, "topology", "--n", "8", "--out", str(topo_file))
+    sched = tmp_path / "sched.txt"
+    sched.write_text("MACRO INIT\nMACRO EXC\n")
+    argv = ["run", "--topology", str(topo_file), "--schedule", str(sched), "--out", str(tmp_path / "s.csv")]
+    t0 = time.monotonic()
+    code, report = run_cli(capsys, *argv, "--backend", "dense")
+    assert time.monotonic() - t0 < 1.0  # refused before allocating 2^33 amplitudes
+    assert code == 2 and report["status"] == "error" and "sparse backend" in report["error"]
+
+    code, report = run_cli(capsys, *argv, "--backend", "sparse")
+    assert code == 0 and report["closest_phase"] == "PF" and report["residual"] < 1e-12

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ from conveyorqc.state import (
     norm,
     random_logical_state,
 )
-from conveyorqc.topology import build_conveyor, build_variant
+from conveyorqc.topology import build_conveyor, build_variant, load, save
 
 
 def basis_logical(n, bits):
@@ -455,3 +457,36 @@ def test_schedule_parse_errors():
         parse_schedule("PULSE D_regular theta=1 axis=1,0,0\n")
     with pytest.raises(ValueError):
         parse_schedule("PULSE B_all theta=1\n")
+
+
+@pytest.mark.parametrize("backend", ["dense", "sparse"])
+def test_non_finite_rotation_is_rejected(backend):
+    nan = float("nan")
+    bad = [(math.pi, (nan, 0.0, 1.0)), (nan, X_AXIS), (math.pi, (math.inf, 0.0, 0.0))]
+    for theta, axis in bad:
+        with pytest.raises(ValueError):
+            GlobalPulse(TargetClass.B_CROSSED, theta, axis)
+    with pytest.raises(ValueError):
+        parse_schedule("PULSE B_crossed theta=3.14 axis=nan,0,1\n")
+
+    topo = build_conveyor(4)
+    st = encode_well_formed(random_logical_state(4, np.random.default_rng(30)), PhaseLabel.FP, topo, backend)
+    before = st.copy()
+    for theta, axis in bad:
+        with pytest.raises(ValueError):
+            apply_controlled_rotation(st, 4, topo.neighbor_map[4], theta, axis)
+    assert l2_distance(st, before) == 0.0 and abs(norm(st) - 1) < 1e-12
+
+
+def test_device_tables_are_freed_with_the_topology(tmp_path):
+    save(build_conveyor(4), tmp_path / "topo.json")
+    topo = load(tmp_path / "topo.json")
+    for backend in ("dense", "sparse"):
+        st = all_ground(topo.n_sites, backend)
+        apply_schedule(st, topo, seq_init(topo))
+        apply_schedule(st, topo, seq_exchange())
+    assert topo.tables  # class masks and dense pi-x tables were built
+    ref = weakref.ref(topo)
+    del topo
+    gc.collect()
+    assert ref() is None

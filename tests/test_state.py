@@ -38,6 +38,19 @@ def test_all_ground():
         all_ground(0)
 
 
+def test_backend_size_limits():
+    with pytest.raises(ValueError, match="sparse backend"):
+        all_ground(27)  # 2^27 amplitudes would need 2 GiB
+    topo = build_conveyor(8)
+    psi = LogicalStateVector(8, np.eye(256, dtype=complex)[0])
+    with pytest.raises(ValueError, match="sparse backend"):
+        encode_well_formed(psi, PhaseLabel.FP, topo)
+    assert len(encode_well_formed(psi, PhaseLabel.FP, topo, backend="sparse").amplitudes) == 1
+    assert len(all_ground(63, backend="sparse").amplitudes) == 1
+    with pytest.raises(ValueError):
+        all_ground(64, backend="sparse")
+
+
 def as_dense(state):
     return state if isinstance(state, PureState) else to_dense(state)
 
