@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .state import PureState, State, control_mask, rotate_sites, rotation_matrix
+from .state import State, control_mask, rotate_sites, rotation_matrix
 from .topology import BASELINE, Crossing, DeviceTopology, Family
 
 X_AXIS = (1.0, 0.0, 0.0)
@@ -122,34 +122,6 @@ def class_masks(topo: DeviceTopology, target: TargetClass) -> tuple[np.ndarray, 
     return hit
 
 
-# Conditional pi pulses about x dominate every macro; on the bipartite graph
-# a whole class pulse is then an involutive basis permutation with a phase
-# per flipped site, so it collapses to one gather + one multiply on dense
-# states.  Tables live with the device; dense tables only for devices small
-# enough that 2 * 2^n_sites entries are cheap.
-_PI_X_TABLE_MAX_QUBITS = 20
-_QUARTER_PHASES = {
-    1.0: np.array([1, -1j, -1, 1j], dtype=np.complex128),  # (-i)^k
-    -1.0: np.array([1, 1j, -1, -1j], dtype=np.complex128),  # (+i)^k
-}
-
-
-def _pi_x_tables(topo: DeviceTopology, target: TargetClass, sign: float):
-    key = ("pi_x", target, sign)
-    hit = topo.tables.get(key)
-    if hit is None:
-        idx = np.arange(1 << len(topo.sites), dtype=np.int64)
-        flip = np.zeros_like(idx)
-        count = np.zeros_like(idx)
-        for tbit, cmask in zip(*class_masks(topo, target)):
-            cond = (idx & cmask) == 0
-            flip |= np.where(cond, tbit, 0)
-            count += cond
-        hit = (idx ^ flip, _QUARTER_PHASES[sign][count & 3])
-        topo.tables[key] = hit
-    return hit
-
-
 def apply_global_pulse(state: State, topo: DeviceTopology, pulse: GlobalPulse) -> State:
     """Apply one blockade-conditioned rotation per site of the target class."""
     if pulse.target is TargetClass.INIT_LINE and topo.kind != BASELINE:
@@ -157,15 +129,6 @@ def apply_global_pulse(state: State, topo: DeviceTopology, pulse: GlobalPulse) -
     tbits, cmasks = class_masks(topo, pulse.target)
     if not len(tbits):
         raise ValueError(f"target class {pulse.target.value} is empty on a {topo.kind} device")
-    if (
-        isinstance(state, PureState)
-        and state.n_qubits <= _PI_X_TABLE_MAX_QUBITS
-        and abs(pulse.theta) == math.pi
-        and pulse.axis == X_AXIS
-    ):
-        perm, phase = _pi_x_tables(topo, pulse.target, math.copysign(1.0, pulse.theta))
-        np.multiply(state.amplitudes[perm], phase, out=state.amplitudes)
-        return state
     rotate_sites(state, tbits, cmasks, rotation_matrix(pulse.theta, pulse.axis))
     return state
 
@@ -178,25 +141,38 @@ def apply_schedule(state: State, topo: DeviceTopology, schedule: PulseSchedule) 
 
 # --- named macros ---------------------------------------------------------------
 
-def _span(name: str, pulses: list[GlobalPulse]) -> PulseSchedule:
+_B_ALL_PI_X = GlobalPulse(TargetClass.B_ALL, math.pi, X_AXIS)
+_EXC = (GlobalPulse(TargetClass.A_REGULAR, math.pi, X_AXIS), _B_ALL_PI_X) * 4
+_MACROS = {
+    "EXC": _EXC,
+    "EXC_INV": (_B_ALL_PI_X, *_EXC, _B_ALL_PI_X),
+    "CCZ": (GlobalPulse(TargetClass.A_CROSSED, 2 * math.pi, X_AXIS),),
+    "TOFFOLI": (
+        GlobalPulse(TargetClass.B_CROSSED, math.pi, HADAMARD_AXIS),
+        _B_ALL_PI_X,
+        GlobalPulse(TargetClass.A_CROSSED, 2 * math.pi, X_AXIS),
+        _B_ALL_PI_X,
+        GlobalPulse(TargetClass.B_CROSSED, math.pi, HADAMARD_AXIS),
+    ),
+    "INIT": (GlobalPulse(TargetClass.INIT_LINE, math.pi, X_AXIS),),
+}
+
+
+def _span(name: str, pulses: list[GlobalPulse] | None = None) -> PulseSchedule:
+    pulses = list(_MACROS[name] if pulses is None else pulses)
     return PulseSchedule(pulses, [MacroSpan(name, 0, len(pulses))])
 
 
 def seq_exchange() -> PulseSchedule:
     """Eight alternating pulses that swap neighboring IC pairs and toggle the
     sector phases: (A-regular pi-x, then all-B pi-x), four times."""
-    pulses = []
-    for _ in range(4):
-        pulses.append(GlobalPulse(TargetClass.A_REGULAR, math.pi, X_AXIS))
-        pulses.append(GlobalPulse(TargetClass.B_ALL, math.pi, X_AXIS))
-    return _span("EXC", pulses)
+    return _span("EXC")
 
 
 def seq_exchange_inverse() -> PulseSchedule:
     """All-B pi-x, the eight exchange pulses, all-B pi-x: acts as the inverse
     of the exchange on well-formed states."""
-    wrap = GlobalPulse(TargetClass.B_ALL, math.pi, X_AXIS)
-    return _span("EXC_INV", [wrap] + seq_exchange().pulses + [wrap])
+    return _span("EXC_INV")
 
 
 def seq_ccz(axis=X_AXIS) -> PulseSchedule:
@@ -207,15 +183,7 @@ def seq_ccz(axis=X_AXIS) -> PulseSchedule:
 
 def seq_toffoli() -> PulseSchedule:
     """One-shot Toffoli with Q_1, Q_3 as controls and Q_2 as target."""
-    n = HADAMARD_AXIS
-    pulses = [
-        GlobalPulse(TargetClass.B_CROSSED, math.pi, n),
-        GlobalPulse(TargetClass.B_ALL, math.pi, X_AXIS),
-        GlobalPulse(TargetClass.A_CROSSED, 2 * math.pi, X_AXIS),
-        GlobalPulse(TargetClass.B_ALL, math.pi, X_AXIS),
-        GlobalPulse(TargetClass.B_CROSSED, math.pi, n),
-    ]
-    return _span("TOFFOLI", pulses)
+    return _span("TOFFOLI")
 
 
 def seq_single_qubit_at_Q2(theta: float, axis) -> PulseSchedule:
@@ -227,16 +195,7 @@ def seq_init(topo: DeviceTopology) -> PulseSchedule:
     the all-|g> logical state (up to a global phase)."""
     if topo.kind != BASELINE:
         raise ValueError("the initialization line exists only on the baseline design")
-    return _span("INIT", [GlobalPulse(TargetClass.INIT_LINE, math.pi, X_AXIS)])
-
-
-_MACRO_BUILDERS = {
-    "EXC": seq_exchange,
-    "EXC_INV": seq_exchange_inverse,
-    "CCZ": seq_ccz,
-    "TOFFOLI": seq_toffoli,
-    "INIT": lambda: _span("INIT", [GlobalPulse(TargetClass.INIT_LINE, math.pi, X_AXIS)]),
-}
+    return _span("INIT")
 
 
 # --- schedule text format --------------------------------------------------------
@@ -252,9 +211,9 @@ def write_schedule(schedule: PulseSchedule, meta: dict | None = None) -> str:
     i = 0
     while i < len(schedule.pulses):
         span = spans.get(i)
-        if span is not None and span.name in _MACRO_BUILDERS:
-            canonical = _MACRO_BUILDERS[span.name]().pulses
-            if schedule.pulses[i : i + len(canonical)] == canonical:
+        if span is not None and span.name in _MACROS:
+            canonical = _MACROS[span.name]
+            if tuple(schedule.pulses[i : i + len(canonical)]) == canonical:
                 lines.append(f"MACRO {span.name}")
                 i += len(canonical)
                 continue
@@ -287,9 +246,9 @@ def parse_schedule(text: str) -> tuple[PulseSchedule, dict[str, str]]:
             continue
         fields = line.split()
         if fields[0] == "MACRO":
-            if len(fields) != 2 or fields[1] not in _MACRO_BUILDERS:
+            if len(fields) != 2 or fields[1] not in _MACROS:
                 raise ValueError(f"line {line_no}: unknown macro in {line!r}")
-            schedule.extend(_MACRO_BUILDERS[fields[1]]())
+            schedule.extend(_span(fields[1]))
             continue
         if fields[0] != "PULSE" or len(fields) != 4:
             raise ValueError(f"line {line_no}: expected 'PULSE <class> theta=... axis=...', got {line!r}")

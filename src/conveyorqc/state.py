@@ -2,9 +2,10 @@
 
 Basis convention: little-endian, bit i of the basis index is qubit i,
 bit value 0 = |g>, 1 = |e>.  Rotations follow R(theta, n) =
-exp(-i (theta/2) n.sigma).  The sparse backend stores its support as two
-arrays, basis indices and amplitudes, and prunes entries below a tolerance
-whenever a rotation splits amplitudes.
+exp(-i (theta/2) n.sigma).  The dense backend stores all 2^n amplitudes;
+the sparse backend stores its support as two arrays, basis indices and
+amplitudes, and prunes entries below a tolerance whenever a rotation splits
+amplitudes.  Both rotate through one kernel over the support.
 """
 
 from __future__ import annotations
@@ -140,51 +141,18 @@ def rotation_matrix(theta: float, axis) -> np.ndarray:
     )
 
 
-# Conditioned index pairs are reused heavily when the same pulse classes hit
-# the same device over and over; keyed by (n_qubits, target bit, control mask).
-_KERNEL_CACHE: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
-
 # Matrix entries below this are float dust from pi/2pi trigonometry; snapping
 # them keeps pi pulses exact basis permutations.
 _MATRIX_SNAP = 1e-15
 
 
-def _kernel_indices(n_qubits: int, tbit: int, ctrl_mask: int):
-    key = (n_qubits, tbit, ctrl_mask)
-    pair = _KERNEL_CACHE.get(key)
-    if pair is None:
-        i0 = np.zeros(1, dtype=np.int64)
-        fixed = ctrl_mask | tbit
-        for b in range(n_qubits):
-            bit = 1 << b
-            if not fixed & bit:
-                i0 = np.concatenate([i0, i0 | bit])
-        if len(_KERNEL_CACHE) > 512:
-            _KERNEL_CACHE.clear()
-        _KERNEL_CACHE[key] = pair = (i0, i0 + tbit)
-    return pair
-
-
-def _rotate_dense_site(state: PureState, tbit: int, ctrl_mask: int, r: np.ndarray) -> None:
+def _rotate_support(
+    idx: np.ndarray, val: np.ndarray, prune_tol: float, tbits: np.ndarray, cmasks: np.ndarray, r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rotate the support (basis indices `idx`, amplitudes `val`) and return
+    the new support; split branches below `prune_tol` are dropped.  The
+    input arrays are left as they are."""
     r00, r01, r10, r11 = r[0, 0], r[0, 1], r[1, 0], r[1, 1]
-    i0, i1 = _kernel_indices(state.n_qubits, tbit, ctrl_mask)
-    amp = state.amplitudes
-    if abs(r01) < _MATRIX_SNAP and abs(r10) < _MATRIX_SNAP:
-        amp[i0] *= r00
-        amp[i1] *= r11
-    elif abs(r00) < _MATRIX_SNAP and abs(r11) < _MATRIX_SNAP:
-        a0 = amp[i0].copy()
-        amp[i0] = r01 * amp[i1]
-        amp[i1] = r10 * a0
-    else:
-        a0, a1 = amp[i0], amp[i1]
-        amp[i0] = r00 * a0 + r01 * a1
-        amp[i1] = r10 * a0 + r11 * a1
-
-
-def _rotate_sparse(state: SparseState, tbits: np.ndarray, cmasks: np.ndarray, r: np.ndarray) -> None:
-    r00, r01, r10, r11 = r[0, 0], r[0, 1], r[1, 0], r[1, 1]
-    idx, val = state.indices, state.values
     diag = abs(r01) < _MATRIX_SNAP and abs(r10) < _MATRIX_SNAP
     if diag or (abs(r00) < _MATRIX_SNAP and abs(r11) < _MATRIX_SNAP):
         # Every entry keeps its norm and moves to one place: multiply by the
@@ -194,10 +162,8 @@ def _rotate_sparse(state: SparseState, tbits: np.ndarray, cmasks: np.ndarray, r:
         cond = (idx[:, None] & cmasks) == 0
         on, off = (r11, r00) if diag else (r01, r10)  # factor when the target bit is 1 / 0
         factor = off if on == off else np.where((idx[:, None] & tbits) != 0, on, off)
-        val *= np.where(cond, factor, 1).prod(axis=1)
-        if not diag:
-            idx ^= cond @ tbits
-        return
+        val = val * np.where(cond, factor, 1).prod(axis=1)
+        return (idx if diag else idx ^ (cond @ tbits)), val
     # Splitting rotation: site by site, send each conditioned entry to both
     # values of the target bit, then add up entries that land on one index.
     for tbit, cmask in zip(tbits, cmasks):
@@ -210,21 +176,27 @@ def _rotate_sparse(state: SparseState, tbits: np.ndarray, cmasks: np.ndarray, r:
         summed = np.empty(len(merged), dtype=np.complex128)
         summed.real = np.bincount(where, split.real, len(merged))
         summed.imag = np.bincount(where, split.imag, len(merged))
-        keep = np.abs(summed) >= state.prune_tolerance
+        keep = np.abs(summed) >= prune_tol
         idx = np.concatenate([idx[~cond], merged[keep]])
         val = np.concatenate([val[~cond], summed[keep]])
-    state.indices, state.values = idx, val
+    return idx, val
 
 
 def rotate_sites(state: State, tbits: np.ndarray, cmasks: np.ndarray, r: np.ndarray) -> None:
     """Apply `r` to every target bit `tbits[k]` on the subspace where the
     bits of `cmasks[k]` are all |g>.  No target bit may lie in any control
-    mask, so the per-site factors commute."""
+    mask, so the per-site factors commute.  Both backends rotate their
+    support; a dense state keeps every amplitude, so it is never pruned."""
     if isinstance(state, PureState):
-        for tbit, cmask in zip(tbits.tolist(), cmasks.tolist()):
-            _rotate_dense_site(state, tbit, cmask, r)
+        amp = state.amplitudes
+        idx = np.flatnonzero(amp != 0)
+        new_idx, new_val = _rotate_support(idx, amp[idx], 0.0, tbits, cmasks, r)
+        amp[idx] = 0
+        amp[new_idx] = new_val
     else:
-        _rotate_sparse(state, tbits, cmasks, r)
+        state.indices, state.values = _rotate_support(
+            state.indices, state.values, state.prune_tolerance, tbits, cmasks, r
+        )
 
 
 def control_mask(control_sites) -> int:
@@ -438,7 +410,10 @@ def load_logical_csv(path, n_qubits: int) -> LogicalStateVector:
             idx = int(parts[0], 0)
             if not 0 <= idx < len(amp):
                 raise ValueError(f"{path}:{line_no + 1}: index {idx:#x} out of range")
-            amp[idx] = float(parts[1]) + 1j * float(parts[2])
+            re, im = float(parts[1]), float(parts[2])
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise ValueError(f"{path}:{line_no + 1}: amplitude {re},{im} is not finite")
+            amp[idx] = complex(re, im)
     n = np.linalg.norm(amp)
     if abs(n - 1.0) > 1e-9:
         raise ValueError(f"logical state in {path} has norm {n}, expected 1")

@@ -91,8 +91,8 @@ class DeviceTopology:
 
     @cached_property
     def tables(self) -> dict:
-        """Arrays derived from this device by the pulse engine (class masks,
-        permutation tables), built on first use and dropped with the device.
+        """Arrays derived from this device by the pulse engine (the class
+        masks), built on first use and dropped with the device.
         Threads that race to build an entry build equal ones."""
         return {}
 

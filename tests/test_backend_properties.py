@@ -1,11 +1,13 @@
-"""Property tests: the support-array sparse backend against references that
-share none of its code.
+"""Property tests: the support-array pulse kernel against references.
 
-* Baseline N=4 (17 qubits): sparse class pulses against the dense backend
-  driven site by site through `apply_controlled_rotation`, which never sees
-  the per-class masks or the dense pi-x tables.
+* Baseline N=4 (17 qubits), every class: sparse and dense class pulses
+  against a per-entry dictionary rotation written out below, which shares
+  no package code, and against the dense backend driven site by site
+  through `apply_controlled_rotation`, which never sees the per-class masks.
+  Both backends run the same kernel, so the site-by-site reference checks
+  storage and the class-mask bookkeeping; the dictionary checks the kernel.
 * Variant classes (34 qubits, too large for dense): sparse class pulses
-  against a per-entry dictionary rotation written out below.
+  against the same dictionary rotation.
 * Compiled N=6 circuits: the sparse support never exceeds 2^N at a macro
   boundary.
 
@@ -100,15 +102,22 @@ def test_sparse_matches_site_by_site_dense(seed, well_formed, size, schedule):
     dense = reference.copy()
     sparse = to_sparse(reference)
     sparse.prune_tolerance = 0.0
+    (nonzero,) = np.nonzero(reference.amplitudes)
+    expected = dict(zip(nonzero.tolist(), reference.amplitudes[nonzero].tolist()))
     for target, (theta, axis) in schedule:
         pulse = GlobalPulse(target, theta, axis)
         apply_global_pulse(sparse, TOPO4, pulse)
         apply_global_pulse(dense, TOPO4, pulse)
+        r = rotation_matrix(theta, axis).tolist()
         for site in sorted(class_sites(TOPO4, target)):
             controls = () if target is TargetClass.INIT_LINE else TOPO4.neighbor_map[site]
             apply_controlled_rotation(reference, site, controls, theta, axis)
+            expected = _dict_rotate(expected, site, controls, r)
     assert l2_distance(sparse, reference) <= 1e-12
     assert l2_distance(dense, reference) <= 1e-12
+    assert _dict_distance(dict(sparse.amplitudes), expected) <= 1e-12
+    (nonzero,) = np.nonzero(dense.amplitudes)
+    assert _dict_distance(dict(zip(nonzero.tolist(), dense.amplitudes[nonzero].tolist())), expected) <= 1e-12
 
 
 def _dict_rotate(amps: dict, site: int, controls, r) -> dict:
@@ -123,6 +132,11 @@ def _dict_rotate(amps: dict, site: int, controls, r) -> dict:
         for row, dest in ((0, idx & ~bit), (1, idx | bit)):
             out[dest] = out.get(dest, 0j) + r[row][col] * a
     return out
+
+
+def _dict_distance(got: dict, expected: dict) -> float:
+    diff = [got.get(i, 0j) - expected.get(i, 0j) for i in set(got) | set(expected)]
+    return math.sqrt(sum(abs(d) ** 2 for d in diff))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -142,9 +156,7 @@ def test_sparse_variant_classes_match_dict_rotation(seed, size, schedule):
         r = rotation_matrix(theta, axis).tolist()
         for site in class_sites(topo, target):
             expected = _dict_rotate(expected, site, topo.neighbor_map[site], r)
-    got = dict(sparse.amplitudes)
-    diff = [got.get(i, 0j) - expected.get(i, 0j) for i in set(got) | set(expected)]
-    assert math.sqrt(sum(abs(d) ** 2 for d in diff)) <= 1e-12
+    assert _dict_distance(dict(sparse.amplitudes), expected) <= 1e-12
 
 
 gates = st.sampled_from(sorted(GATE_ARITY)).flatmap(

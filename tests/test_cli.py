@@ -248,3 +248,25 @@ def test_run_dense_refuses_oversized_device(tmp_path, capsys):
 
     code, report = run_cli(capsys, *argv, "--backend", "sparse")
     assert code == 0 and report["closest_phase"] == "PF" and report["residual"] < 1e-12
+
+
+def test_run_rejects_non_finite_initial_state(tmp_path, capsys):
+    topo_file = tmp_path / "topo.json"
+    run_cli(capsys, "topology", "--n", "4", "--out", str(topo_file))
+    psi_file = tmp_path / "psi.csv"
+    psi_file.write_text("index,real,imag\n0x0,nan,0\n")
+    sched = tmp_path / "exc.txt"
+    sched.write_text("MACRO EXC\n")
+    code, report = run_cli(
+        capsys,
+        "run",
+        "--topology",
+        str(topo_file),
+        "--schedule",
+        str(sched),
+        "--initial-state",
+        str(psi_file),
+        "--out",
+        str(tmp_path / "state.csv"),
+    )
+    assert code == 2 and report["status"] == "error" and "psi.csv:2" in report["error"]

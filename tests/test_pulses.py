@@ -485,7 +485,7 @@ def test_device_tables_are_freed_with_the_topology(tmp_path):
         st = all_ground(topo.n_sites, backend)
         apply_schedule(st, topo, seq_init(topo))
         apply_schedule(st, topo, seq_exchange())
-    assert topo.tables  # class masks and dense pi-x tables were built
+    assert topo.tables  # class masks were built
     ref = weakref.ref(topo)
     del topo
     gc.collect()

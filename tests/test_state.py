@@ -239,3 +239,11 @@ def test_state_csv_format(tmp_path):
     bad.write_text("0x0,0.1,0\n")
     with pytest.raises(ValueError):
         load_logical_csv(bad, 2)
+
+
+@pytest.mark.parametrize("row", ["0x0,nan,0", "0x0,1,nan", "0x0,inf,0", "0x1,0,-inf"])
+def test_load_logical_csv_rejects_non_finite_amplitudes(tmp_path, row):
+    f = tmp_path / "psi.csv"
+    f.write_text(f"index,real,imag\n{row}\n")
+    with pytest.raises(ValueError, match=r"psi\.csv:2: .*not finite"):
+        load_logical_csv(f, 2)
