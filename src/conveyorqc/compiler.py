@@ -440,6 +440,10 @@ def parse_circuit(text: str, n_qubits: int) -> LogicalCircuit:
                 gates.append(LogicalGate("TOFFOLI", (int(kv["a"]), int(kv["b"]), int(kv["c"]))))
             else:
                 raise ValueError(f"unknown gate {kind!r}")
+            if any(q > n_qubits for q in gates[-1].qubits):
+                raise ValueError(f"{kind} addresses qubits beyond n={n_qubits}")
         except KeyError as e:
             raise ValueError(f"line {line_no}: missing field {e} for {kind}") from None
+        except ValueError as e:
+            raise ValueError(f"line {line_no}: {e}") from None
     return LogicalCircuit(n_qubits, tuple(gates))

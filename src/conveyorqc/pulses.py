@@ -258,9 +258,12 @@ def parse_schedule(text: str) -> tuple[PulseSchedule, dict[str, str]]:
             raise ValueError(f"line {line_no}: unknown target class {fields[1]!r}") from None
         if not fields[2].startswith("theta=") or not fields[3].startswith("axis="):
             raise ValueError(f"line {line_no}: malformed pulse line {line!r}")
-        theta = float(fields[2][len("theta=") :])
-        axis = tuple(float(v) for v in fields[3][len("axis=") :].split(","))
-        if len(axis) != 3:
-            raise ValueError(f"line {line_no}: axis needs three components")
-        schedule.append(GlobalPulse(target, theta, axis))
+        try:
+            theta = float(fields[2][len("theta=") :])
+            axis = tuple(float(v) for v in fields[3][len("axis=") :].split(","))
+            if len(axis) != 3:
+                raise ValueError("axis needs three components")
+            schedule.append(GlobalPulse(target, theta, axis))
+        except ValueError as e:
+            raise ValueError(f"line {line_no}: {e}") from None
     return schedule, meta

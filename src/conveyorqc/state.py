@@ -55,7 +55,12 @@ class PureState:
 @dataclass
 class SparseState:
     """The support of a state: distinct basis indices (int64, in no set
-    order) and their amplitudes (complex128)."""
+    order) and their amplitudes (complex128).
+
+    A pulse drops each split branch whose magnitude is below
+    `prune_tolerance`.  The bound is per entry, not per state: one pulse can
+    drop many branches, so the L2 distance to the unpruned state can exceed
+    `prune_tolerance`."""
 
     n_qubits: int
     indices: np.ndarray
@@ -407,10 +412,12 @@ def load_logical_csv(path, n_qubits: int) -> LogicalStateVector:
             parts = line.split(",")
             if len(parts) != 3:
                 raise ValueError(f"{path}:{line_no + 1}: expected 'index,real,imag'")
-            idx = int(parts[0], 0)
+            try:
+                idx, re, im = int(parts[0], 0), float(parts[1]), float(parts[2])
+            except ValueError as e:
+                raise ValueError(f"{path}:{line_no + 1}: {e}") from None
             if not 0 <= idx < len(amp):
                 raise ValueError(f"{path}:{line_no + 1}: index {idx:#x} out of range")
-            re, im = float(parts[1]), float(parts[2])
             if not (math.isfinite(re) and math.isfinite(im)):
                 raise ValueError(f"{path}:{line_no + 1}: amplitude {re},{im} is not finite")
             amp[idx] = complex(re, im)

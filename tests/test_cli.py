@@ -3,6 +3,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from conveyorqc.cli import main
 from conveyorqc.compiler import permutation_after, permute_logical
@@ -209,6 +210,23 @@ def test_blockade_sweep_command(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "eta,p_flip_gg,p_leak_ge,p_leak_ee"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("eta", ["inf", "nan"])
+def test_blockade_sweep_rejects_non_finite_eta(tmp_path, capsys, eta):
+    out = tmp_path / "sweep.csv"
+    code, report = run_cli(capsys, "blockade-sweep", "--etas", f"4,{eta}", "--out", str(out))
+    assert code == 2 and report["status"] == "error"
+    assert "eta must be positive and finite" in report["error"]
+
+
+def test_compile_names_the_bad_circuit_line(tmp_path, capsys):
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("X q=1\nX q=abc\n")
+    code, report = run_cli(
+        capsys, "compile", "--circuit", str(circuit), "--n", "4", "--out", str(tmp_path / "s.txt")
+    )
+    assert code == 2 and report["status"] == "error" and report["error"].startswith("line 2: ")
 
 
 def _run_on_topology_doc(tmp_path, capsys, doc):

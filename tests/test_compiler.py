@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conveyorqc.compiler import (
+    GATE_ARITY,
     LogicalCircuit,
     LogicalGate,
     apply_move,
@@ -377,3 +380,41 @@ def test_circuit_text_round_trip():
         parse_circuit("Y q=1\n", 4)
     with pytest.raises(ValueError):
         parse_circuit("CNOT a=1\n", 4)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("X q=abc", "invalid literal"),
+        ("R q=1 theta=abc axis=1,0,0", "could not convert"),
+        ("CNOT a=2 b=two", "invalid literal"),
+        ("Y q=1", "unknown gate"),
+        ("CZ a=2 b=2", "distinct"),
+        ("TOFFOLI a=1 b=2 c=5", "beyond n=4"),
+    ],
+)
+def test_circuit_parse_errors_name_the_line(line, message):
+    with pytest.raises(ValueError, match=rf"^line 3: .*{message}"):
+        parse_circuit(f"# header\nX q=1\n{line}\n", 4)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _circuits(draw):
+    n = draw(st.integers(3, 8))
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(sorted(GATE_ARITY)), max_size=12)):
+        qubits = tuple(draw(st.permutations(range(1, n + 1)))[: GATE_ARITY[kind]])
+        if kind == "R":
+            gates.append(LogicalGate(kind, qubits, draw(_FINITE), draw(st.tuples(_FINITE, _FINITE, _FINITE))))
+        else:
+            gates.append(LogicalGate(kind, qubits))
+    return LogicalCircuit(n, tuple(gates))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(circuit=_circuits())
+def test_circuit_text_round_trip_property(circuit):
+    assert parse_circuit(write_circuit(circuit), circuit.n_qubits) == circuit

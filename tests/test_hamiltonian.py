@@ -5,6 +5,7 @@ import pytest
 
 from conveyorqc.hamiltonian import (
     FRAGMENT_KINDS,
+    LAB,
     OMEGA_A,
     OMEGA_B,
     ROTATING_WAVE,
@@ -37,6 +38,50 @@ def _model(**overrides):
     return ContinuousModel(**base)
 
 
+def _stepwise_evolve(psi, fragment, model):
+    """Reference: integrating-factor RK4 stepped over the whole duration on
+    the full state vector, with no block or period structure."""
+    psi = np.asarray(psi, dtype=complex).copy()
+    d = np.diag(build_hamiltonian(fragment, model, 0.0)).real
+    amp = 2 * model.omega_rabi if fragment.crossed else model.omega_rabi
+    if model.frame == LAB:
+        u01, u10 = -1j, 1j  # sigma_y
+
+        def s_of(t):
+            return amp * math.sin(model.omega_drive * t + model.phi)
+
+    else:
+        u01 = 0.5 * amp * np.exp(-1j * model.phi)
+        u10 = 0.5 * amp * np.exp(1j * model.phi)
+
+        def s_of(t):
+            return 1.0
+
+    def drive(v):  # off-diagonal coupling of the driven qubit (bit 0)
+        w = v.reshape(-1, 2)
+        out = np.empty_like(w)
+        out[:, 0] = u01 * w[:, 1]
+        out[:, 1] = u10 * w[:, 0]
+        return out.reshape(-1)
+
+    n_steps = max(1, math.ceil(model.duration / model.dt - 1e-12))
+    h = model.duration / n_steps
+    e_half = np.exp(-1j * d * (h / 2))
+    e_half_c = e_half.conj()
+    e_full = e_half * e_half
+    e_full_c = e_full.conj()
+
+    for k in range(n_steps):
+        t = k * h
+        y0 = psi
+        k1 = -1j * s_of(t) * drive(y0)
+        k2 = -1j * s_of(t + h / 2) * (e_half_c * drive(e_half * (y0 + (h / 2) * k1)))
+        k3 = -1j * s_of(t + h / 2) * (e_half_c * drive(e_half * (y0 + (h / 2) * k2)))
+        k4 = -1j * s_of(t + h) * (e_full_c * drive(e_full * (y0 + h * k3)))
+        psi = e_full * (y0 + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
+    return psi
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         _model(dt=0.01)  # dt * omega >= 0.05
@@ -48,6 +93,21 @@ def test_model_validation():
         Fragment("Q", 2)
     with pytest.raises(ValueError):
         Fragment("B", 4)
+
+
+@pytest.mark.parametrize(
+    "name", ["omega_a", "omega_b", "zeta", "omega_rabi", "omega_drive", "duration", "dt", "phi"]
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_model_rejects_non_finite_fields(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        _model(**{name: value})
+
+
+@pytest.mark.parametrize("eta", [math.inf, math.nan, -math.inf, 0.0, -1.0])
+def test_pi_pulse_model_rejects_bad_eta(eta):
+    with pytest.raises(ValueError, match="eta must be positive and finite"):
+        pi_pulse_model(FRAGMENT_KINDS["two_neighbor"], eta)
 
 
 def test_fragment_from_site():
@@ -121,6 +181,32 @@ def test_evolve_validates_input():
         evolve(np.ones(8), frag, _model())  # not unit norm
     with pytest.raises(ValueError):
         evolve(np.eye(16)[0], frag, _model())  # wrong dimension
+
+
+@pytest.mark.parametrize("frame", [LAB, ROTATING_WAVE])
+@pytest.mark.parametrize("periods", [0.4, 3.0, None])  # None: duration 3.7, not a whole number of periods
+def test_evolve_matches_stepwise_integration(frame, periods):
+    frag = Fragment("B", 3, triangle_corrected=True, crossed=True)
+    period = 2 * math.pi / (OMEGA_B - 2 * ZETA)
+    duration = 3.7 if periods is None else periods * period
+    model = _model(omega_rabi=ZETA / 2, duration=duration, phi=0.3, frame=frame)
+    rng = np.random.default_rng(7)
+    v = rng.normal(size=16) + 1j * rng.normal(size=16)
+    v /= np.linalg.norm(v)
+    assert np.linalg.norm(evolve(v, frag, model) - _stepwise_evolve(v, frag, model)) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", sorted(FRAGMENT_KINDS))
+@pytest.mark.parametrize("eta", [1, 2, 4])
+def test_blockade_fidelity_matches_stepwise_flips(kind, eta):
+    frag = FRAGMENT_KINDS[kind]
+    model = pi_pulse_model(frag, eta)
+    record = blockade_fidelity(frag, model)
+    for key, neighbors in (("p_flip_gg", 0b00), ("p_leak_ge", 0b01), ("p_leak_ee", 0b11)):
+        psi0 = np.zeros(1 << frag.n_qubits, dtype=complex)
+        psi0[neighbors << 1] = 1.0
+        flip = float(np.sum(np.abs(_stepwise_evolve(psi0, frag, model)[1::2]) ** 2))
+        assert abs(record[key] - flip) <= 1e-10, key
 
 
 def test_evolve_fourth_order_convergence():

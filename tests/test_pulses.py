@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _tables import PARA_TRACK, QUARTER_TURN, embedded_link_input, expected_after_prefix
 from conveyorqc.compiler import LogicalCircuit, LogicalGate, permutation_after, permute_logical
@@ -457,6 +459,53 @@ def test_schedule_parse_errors():
         parse_schedule("PULSE D_regular theta=1 axis=1,0,0\n")
     with pytest.raises(ValueError):
         parse_schedule("PULSE B_all theta=1\n")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "PULSE B_all theta=abc axis=1,0,0",
+        "PULSE B_all theta=1 axis=1,x,0",
+        "PULSE B_all theta=1 axis=1,0",
+        "PULSE B_all theta=7 axis=1,0,0",
+    ],
+)
+def test_schedule_parse_errors_name_the_line(line):
+    with pytest.raises(ValueError, match=r"^line 3: "):
+        parse_schedule(f"MACRO INIT\n# pulses: 2\n{line}\n")
+
+
+_TOPO4 = build_conveyor(4)
+_UNIT_AXES = (
+    st.tuples(*[st.floats(-1, 1)] * 3)
+    .filter(lambda v: math.hypot(*v) > 0.1)
+    .map(lambda v: tuple(float(x) / math.hypot(*v) for x in v))
+)
+_SCHEDULE_PIECES = st.one_of(
+    st.builds(
+        lambda target, theta, axis: PulseSchedule([GlobalPulse(target, theta, axis)]),
+        st.sampled_from(list(TargetClass)),
+        st.floats(-2 * math.pi, 2 * math.pi),
+        _UNIT_AXES,
+    ),
+    st.sampled_from(
+        [seq_exchange, seq_exchange_inverse, seq_ccz, seq_toffoli, lambda: seq_init(_TOPO4)]
+    ).map(lambda seq: seq()),
+)
+_META_KEYS = st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=12)
+_META_VALUES = st.text("abc xyz,0123456789:#=-.", max_size=20).map(str.strip)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pieces=st.lists(_SCHEDULE_PIECES, max_size=8), meta=st.dictionaries(_META_KEYS, _META_VALUES, max_size=3))
+def test_schedule_text_round_trip_property(pieces, meta):
+    sched = PulseSchedule()
+    for piece in pieces:
+        sched.extend(piece)
+    parsed, parsed_meta = parse_schedule(write_schedule(sched, meta=meta))
+    assert parsed.pulses == sched.pulses
+    assert parsed.annotations == sched.annotations
+    assert parsed_meta == meta
 
 
 @pytest.mark.parametrize("backend", ["dense", "sparse"])

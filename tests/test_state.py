@@ -247,3 +247,11 @@ def test_load_logical_csv_rejects_non_finite_amplitudes(tmp_path, row):
     f.write_text(f"index,real,imag\n{row}\n")
     with pytest.raises(ValueError, match=r"psi\.csv:2: .*not finite"):
         load_logical_csv(f, 2)
+
+
+@pytest.mark.parametrize("row", ["0x0,abc,0", "0x0,1,", "zz,1,0"])
+def test_load_logical_csv_names_the_unparsable_row(tmp_path, row):
+    f = tmp_path / "psi.csv"
+    f.write_text(f"index,real,imag\n0x1,0.6,0\n{row}\n")
+    with pytest.raises(ValueError, match=r"psi\.csv:3: "):
+        load_logical_csv(f, 2)
