@@ -134,6 +134,10 @@ def cmd_compile(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.monotonic()
+    if not 0 <= args.tolerance < 1:  # also false for NaN
+        raise ValueError(f"--tolerance must be finite and in [0, 1), got {args.tolerance}")
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
     topo = topology.build_conveyor(args.n)
     with open(args.circuit) as f:
         circuit = compiler.parse_circuit(f.read(), args.n)

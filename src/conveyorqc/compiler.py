@@ -53,6 +53,10 @@ class LogicalGate:
             raise ValueError(f"{self.kind} operands must be distinct, got {self.qubits}")
         if any(q < 1 for q in self.qubits):
             raise ValueError(f"operands are 1-based, got {self.qubits}")
+        if len(self.axis) != 3 or not all(map(math.isfinite, (self.theta, *self.axis))):
+            raise ValueError(
+                f"needs a finite theta and three finite axis components, got {self.theta}, {self.axis}"
+            )
 
 
 @dataclass(frozen=True)

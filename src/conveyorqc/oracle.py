@@ -1,8 +1,10 @@
 """Reference simulator for logical circuits; ground truth for equivalence tests.
 
-Deliberately shares no kernels with the device simulator: every gate is
-expanded to a full 2^N x 2^N matrix and applied by matrix-vector product,
-which is plenty for the small N used in verification.
+Deliberately shares no kernels with the device simulator: `simulate_logical`
+views the 2^N state as an N-axis tensor and contracts each gate's small
+matrix with the axes of its operands, so memory stays O(2^N).  `embed`,
+`gate_unitary` and `circuit_unitary` build full 2^N x 2^N matrices, for
+small N, as an independent matrix cross-check.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ def _permutation(dim: int, mapping: dict[int, int]) -> np.ndarray:
 def gate_small(gate: LogicalGate) -> np.ndarray:
     """Gate matrix on its own operands; operand i maps to bit i."""
     if gate.kind == "R":
+        length = np.linalg.norm(gate.axis)
+        if abs(length - 1.0) > 1e-12:
+            raise ValueError(f"R gate on q{gate.qubits[0]}: axis must be unit length, |n| = {length}")
         return _rotation(gate.theta, gate.axis)
     if gate.kind == "X":
         return _X
@@ -83,6 +88,18 @@ def embed(small: np.ndarray, qubits: tuple[int, ...], n_qubits: int) -> np.ndarr
     return full
 
 
+def _apply_gate(gate: LogicalGate, psi: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Apply the gate to a 2^n state vector without forming its 2^n x 2^n matrix."""
+    k = len(gate.qubits)
+    # Little-endian: qubit q is bit q-1, which is axis n-q of the C-ordered
+    # (2,)*n tensor.  Likewise the small matrix reshaped to (2,)*2k holds the
+    # output bits of operands k-1..0, then their input bits.
+    axes = [n_qubits - q for q in reversed(gate.qubits)]
+    small = gate_small(gate).reshape((2,) * (2 * k))
+    out = np.tensordot(small, psi.reshape((2,) * n_qubits), axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(out, list(range(k)), axes).reshape(-1)
+
+
 def gate_unitary(gate: LogicalGate, n_qubits: int) -> np.ndarray:
     return embed(gate_small(gate), gate.qubits, n_qubits)
 
@@ -101,7 +118,7 @@ def simulate_logical(circuit: LogicalCircuit, psi_in: LogicalStateVector) -> Log
         )
     psi = psi_in.amplitudes.astype(complex).copy()
     for gate in circuit.gates:
-        psi = gate_unitary(gate, circuit.n_qubits) @ psi
+        psi = _apply_gate(gate, psi, circuit.n_qubits)
     return LogicalStateVector(circuit.n_qubits, psi)
 
 

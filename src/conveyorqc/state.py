@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
@@ -193,11 +194,8 @@ def rotate_sites(state: State, tbits: np.ndarray, cmasks: np.ndarray, r: np.ndar
     mask, so the per-site factors commute.  Both backends rotate their
     support; a dense state keeps every amplitude, so it is never pruned."""
     if isinstance(state, PureState):
-        amp = state.amplitudes
-        idx = np.flatnonzero(amp != 0)
-        new_idx, new_val = _rotate_support(idx, amp[idx], 0.0, tbits, cmasks, r)
-        amp[idx] = 0
-        amp[new_idx] = new_val
+        with unpruned_support(state) as work:
+            rotate_sites(work, tbits, cmasks, r)
     else:
         state.indices, state.values = _rotate_support(
             state.indices, state.values, state.prune_tolerance, tbits, cmasks, r
@@ -225,9 +223,27 @@ def apply_controlled_rotation(state: State, target: int, control_sites, theta: f
 
 
 def to_sparse(state: PureState, prune_tolerance: float = SPARSE_PRUNE_TOL) -> SparseState:
+    """The entries of magnitude at least `prune_tolerance`; at tolerance 0,
+    exactly the nonzero entries."""
     amp = state.amplitudes
-    (nz,) = np.nonzero(np.abs(amp) >= prune_tolerance)
+    nz = np.flatnonzero(np.abs(amp) >= prune_tolerance if prune_tolerance else amp != 0)
     return SparseState(state.n_qubits, nz.astype(np.int64), amp[nz], prune_tolerance)
+
+
+@contextmanager
+def unpruned_support(state: PureState):
+    """Lend the nonzero entries of a dense state as an unpruned SparseState.
+
+    On exit, also when the body raises, whatever the support then holds is
+    written back into `state.amplitudes` in place."""
+    work = to_sparse(state, 0.0)
+    lowered = work.indices
+    try:
+        yield work
+    finally:
+        amp = state.amplitudes
+        amp[lowered] = 0
+        amp[work.indices] = work.values
 
 
 def to_dense(state: SparseState) -> PureState:

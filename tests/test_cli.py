@@ -288,3 +288,27 @@ def test_run_rejects_non_finite_initial_state(tmp_path, capsys):
         str(tmp_path / "state.csv"),
     )
     assert code == 2 and report["status"] == "error" and "psi.csv:2" in report["error"]
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--tolerance", "nan", "tolerance"), ("--tolerance", "-1", "tolerance"), ("--trials", "-5", "trials")],
+)
+def test_verify_rejects_malformed_numbers(tmp_path, capsys, flag, value, message):
+    circ = tmp_path / "circ.txt"
+    circ.write_text("X q=1\n")
+    code, report = run_cli(capsys, "verify", "--circuit", str(circ), "--n", "4", flag, value)
+    assert code == 2 and report["status"] == "error" and message in report["error"]
+
+
+@pytest.mark.parametrize(
+    "gate, message", [("R q=1 theta=nan axis=1,0,0", "line 2: "), ("R q=1 theta=0.5 axis=2,0,0", "unit length")]
+)
+def test_verify_rejects_bad_rotation_gates(tmp_path, capsys, gate, message):
+    circ = tmp_path / "circ.txt"
+    circ.write_text(f"X q=1\n{gate}\n")
+    sched = tmp_path / "sched.txt"
+    sched.write_text("MACRO EXC\n")
+    for extra in ((), ("--schedule", str(sched))):
+        code, report = run_cli(capsys, "verify", "--circuit", str(circ), "--n", "4", "--trials", "1", *extra)
+        assert code == 2 and report["status"] == "error" and message in report["error"]

@@ -391,6 +391,9 @@ def test_circuit_text_round_trip():
         ("Y q=1", "unknown gate"),
         ("CZ a=2 b=2", "distinct"),
         ("TOFFOLI a=1 b=2 c=5", "beyond n=4"),
+        ("R q=1 theta=nan axis=1,0,0", "finite theta"),
+        ("R q=1 theta=0.5 axis=1,inf,0", "finite axis"),
+        ("R q=1 theta=0.5 axis=1,0", "three finite axis"),
     ],
 )
 def test_circuit_parse_errors_name_the_line(line, message):

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conveyorqc.compiler import LogicalCircuit, LogicalGate
+from conveyorqc.compiler import GATE_ARITY, LogicalCircuit, LogicalGate
 from conveyorqc.oracle import (
     circuit_unitary,
     compare_up_to_global_phase,
@@ -119,3 +120,42 @@ def test_simulate_validates_operands():
         LogicalCircuit(2, (LogicalGate("X", (3,)),))
     with pytest.raises(ValueError):
         simulate_logical(LogicalCircuit(3, ()), random_logical_state(2, np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("kind", sorted(GATE_ARITY))
+def test_contraction_matches_the_embedded_matrix(kind):
+    rng = np.random.default_rng(len(kind))
+    for n in range(GATE_ARITY[kind], 6):
+        for _ in range(4):
+            qubits = tuple(int(q) + 1 for q in rng.permutation(n)[: GATE_ARITY[kind]])
+            axis = rng.normal(size=3)
+            gate = LogicalGate(kind, qubits, float(rng.uniform(-4, 4)), tuple(axis / np.linalg.norm(axis)))
+            psi = random_logical_state(n, rng)
+            out = simulate_logical(LogicalCircuit(n, (gate,)), psi)
+            assert np.max(np.abs(out.amplitudes - gate_unitary(gate, n) @ psi.amplitudes)) <= 1e-12
+
+
+def test_simulate_at_fourteen_qubits_stays_small():
+    n = 14
+    gates = (
+        LogicalGate("H", (14,)),
+        LogicalGate("CNOT", (14, 1)),
+        LogicalGate("TOFFOLI", (1, 7, 13)),
+        LogicalGate("R", (5,), 0.3, (0.0, 0.6, 0.8)),
+        LogicalGate("SWAP", (2, 11)),
+    )
+    psi = random_logical_state(n, np.random.default_rng(3))
+    tracemalloc.start()
+    try:
+        out = simulate_logical(LogicalCircuit(n, gates), psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20  # one 2^14 x 2^14 gate matrix would be 4 GiB
+    assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-12
+
+
+def test_simulate_rejects_a_non_unit_rotation_axis():
+    circuit = LogicalCircuit(2, (LogicalGate("R", (2,), 0.4, (2.0, 0.0, 0.0)),))
+    with pytest.raises(ValueError, match="unit length"):
+        simulate_logical(circuit, basis(2, 0))

@@ -9,9 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _tables import PARA_TRACK, QUARTER_TURN, embedded_link_input, expected_after_prefix
-from conveyorqc.compiler import LogicalCircuit, LogicalGate, permutation_after, permute_logical
+from conveyorqc.compiler import (
+    GATE_ARITY,
+    LogicalCircuit,
+    LogicalGate,
+    compile_circuit,
+    permutation_after,
+    permute_logical,
+)
 from conveyorqc.oracle import compare_up_to_global_phase, simulate_logical
 from conveyorqc.pulses import (
+    HADAMARD_AXIS,
     GlobalPulse,
     PulseSchedule,
     TargetClass,
@@ -40,6 +48,7 @@ from conveyorqc.state import (
     l2_distance,
     norm,
     random_logical_state,
+    to_sparse,
 )
 from conveyorqc.topology import build_conveyor, build_variant, load, save
 
@@ -539,3 +548,72 @@ def test_device_tables_are_freed_with_the_topology(tmp_path):
     del topo
     gc.collect()
     assert ref() is None
+
+
+def _random_axis(rng):
+    axis = rng.normal(size=3)
+    return tuple(axis / np.linalg.norm(axis))
+
+
+def _pulse_by_pulse(state, topo, schedule):
+    for pulse in schedule.pulses:
+        apply_global_pulse(state, topo, pulse)
+    return state
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_dense_schedule_matches_pulse_by_pulse_on_compiled_circuits(seed):
+    # The dense state is lowered to its support once per schedule; the
+    # arithmetic per pulse is unchanged, so the result must agree bit for bit.
+    topo = build_conveyor(4)
+    rng = np.random.default_rng(40 + seed)
+    gates = []
+    for kind in ("R", "X", "Z", "H", "CNOT", "CZ", "SWAP", "TOFFOLI"):
+        qubits = tuple(int(q) + 1 for q in rng.permutation(4)[: GATE_ARITY[kind]])
+        gates.append(LogicalGate(kind, qubits, float(rng.uniform(-3, 3)), _random_axis(rng)))
+    rng.shuffle(gates)
+    schedule = compile_circuit(LogicalCircuit(4, tuple(gates)), topo).schedule
+    psi = random_logical_state(4, rng)
+    whole = encode_well_formed(psi, PhaseLabel.FP, topo)
+    apply_schedule(whole, topo, schedule)
+    stepped = _pulse_by_pulse(encode_well_formed(psi, PhaseLabel.FP, topo), topo, schedule)
+    assert np.array_equal(whole.amplitudes, stepped.amplitudes)
+
+
+def test_dense_schedule_matches_pulse_by_pulse_on_full_support():
+    topo = build_conveyor(4)
+    rng = np.random.default_rng(41)
+    amp = rng.normal(size=1 << 17) + 1j * rng.normal(size=1 << 17)
+    amp /= np.linalg.norm(amp)
+    classes = [TargetClass.A_REGULAR, TargetClass.B_ALL, TargetClass.B_CROSSED, TargetClass.A_CROSSED]
+    schedule = PulseSchedule(
+        [
+            GlobalPulse(classes[rng.integers(4)], float(rng.uniform(-2 * math.pi, 2 * math.pi)), _random_axis(rng))
+            for _ in range(4)
+        ]
+    )
+    whole = PureState(17, amp.copy())
+    apply_schedule(whole, topo, schedule)
+    stepped = _pulse_by_pulse(PureState(17, amp.copy()), topo, schedule)
+    assert np.array_equal(whole.amplitudes, stepped.amplitudes)
+
+
+def test_dense_schedule_that_raises_keeps_the_pulses_before_it():
+    topo = build_conveyor(4)
+    psi = random_logical_state(4, np.random.default_rng(42))
+    first = GlobalPulse(TargetClass.B_CROSSED, 0.9, HADAMARD_AXIS)
+    expected = apply_global_pulse(encode_well_formed(psi, PhaseLabel.FP, topo), topo, first)
+    st = encode_well_formed(psi, PhaseLabel.FP, topo)
+    bad = PulseSchedule([first, GlobalPulse(TargetClass.C_REGULAR, math.pi, X_AXIS), first])
+    with pytest.raises(ValueError, match="empty"):
+        apply_schedule(st, topo, bad)
+    assert np.array_equal(st.amplitudes, expected.amplitudes)
+
+
+def test_to_sparse_at_zero_tolerance_keeps_exactly_the_nonzero_entries():
+    topo = build_conveyor(4)
+    st = encode_well_formed(random_logical_state(4, np.random.default_rng(43)), PhaseLabel.FP, topo)
+    st.amplitudes[7] = 1e-300  # nonzero, however small
+    lowered = to_sparse(st, 0.0)
+    assert np.array_equal(lowered.indices, np.flatnonzero(st.amplitudes))
+    assert np.array_equal(lowered.values, st.amplitudes[lowered.indices])
