@@ -5,7 +5,10 @@ bit value 0 = |g>, 1 = |e>.  Rotations follow R(theta, n) =
 exp(-i (theta/2) n.sigma).  The dense backend stores all 2^n amplitudes;
 the sparse backend stores its support as two arrays, basis indices and
 amplitudes, and prunes entries below a tolerance whenever a rotation splits
-amplitudes.  Both rotate through one kernel over the support.
+amplitudes.  Both rotate through one kernel over the support: a dense state
+is lowered to its unpruned support (`unpruned_support`) and written back in
+place afterwards, once per schedule in `pulses.apply_schedule` and once per
+pulse for single-pulse callers.
 """
 
 from __future__ import annotations
