@@ -8,13 +8,22 @@ occupants the other way while toggling the sector phase.
 
 Placement is tracked, not restored: gates are lowered against the current
 placement and the final placement is reported so a verifier can un-permute.
+
+Routing is pulse-cost aware.  One Dijkstra search over (tracked positions,
+phase) weighs each move by the pulses it emits at that phase: 8 for an
+exchange, 10 for its inverse, and hundreds to thousands for a fixed-site
+swap, whose Q_2 round trips depend on the phase.  A Toffoli may end with its
+controls on either of Q_1, Q_3; a CNOT tracks only its two operands and
+flips whichever qubit routing leaves on the other control site.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import deque
+from bisect import insort
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,7 +40,7 @@ from .pulses import (
     seq_exchange_inverse,
     seq_toffoli,
 )
-from .state import LogicalStateVector, PhaseLabel, State, well_formed_residual
+from .state import LogicalStateVector, PhaseLabel, State, unpruned_support, well_formed_residual
 from .topology import BASELINE, DeviceTopology
 
 GATE_ARITY = {"R": 1, "X": 1, "Z": 1, "H": 1, "CNOT": 2, "CZ": 2, "SWAP": 2, "TOFFOLI": 3}
@@ -101,11 +110,10 @@ def permutation_after(ell: int, start_phase: PhaseLabel, n: int) -> tuple[int, .
 
 
 def route_to_Q2(j: int, phase: PhaseLabel, n: int) -> int:
-    """Smallest number of exchanges that brings position j onto Q_2."""
-    for ell in range(n):
-        if permutation_after(ell, phase, n)[j - 1] == 2:
-            return ell
-    raise AssertionError("unreachable: every position cycles through Q_2")
+    """Smallest number of exchanges that brings position j onto Q_2: its
+    occupant keeps one direction around the loop (see `permutation_after`)."""
+    forward = (j % 2 == 1) == (phase is PhaseLabel.FP)
+    return (2 - j) % n if forward else (j - 2) % n
 
 
 class _Emitter:
@@ -133,6 +141,8 @@ class _Emitter:
         self.rt.phase = flipped
 
     def q2_pulse(self, theta: float, axis) -> None:
+        # R(theta + 4pi) = R(theta); the remainder leaves [-2pi, 2pi] unchanged.
+        theta = math.remainder(theta, 4 * math.pi)
         self.sched.pulses.append(GlobalPulse(TargetClass.B_CROSSED, theta, tuple(axis)))
 
     def toffoli(self) -> None:
@@ -227,31 +237,101 @@ def apply_move(positions: tuple[int, ...], phase: PhaseLabel, move: str, n: int)
     return tuple(y if p == x else x if p == y else p for p in positions), phase
 
 
+_EXC_PULSES = len(seq_exchange())
+_EXC_INV_PULSES = len(seq_exchange_inverse())
+_TOFFOLI_PULSES = len(seq_toffoli())
+
+
+def _pulse_at_cost(pos: int, phase: PhaseLabel, n: int) -> int:
+    return route_to_Q2(pos, phase, n) * (_EXC_PULSES + _EXC_INV_PULSES) + 1
+
+
+def _flip_cost(spare: int, phase: PhaseLabel, n: int) -> int:
+    """Two Toffolis and two bit flips of the occupant of `spare`."""
+    return 2 * _TOFFOLI_PULSES + 2 * _pulse_at_cost(spare, phase, n)
+
+
+@lru_cache(maxsize=None)
+def move_cost(move: str, phase: PhaseLabel, n: int) -> int:
+    """Pulses `_Emitter.do_move(move)` emits at `phase` on an n-position loop.
+
+    A fixed-site swap keeps the phase throughout: it is three CNOTs between
+    Q_2 and Q_1 or Q_3 (each two Toffolis and two flips of the spare), with
+    two Hadamards on each end of the middle one."""
+    if move == "EXC":
+        return _EXC_PULSES
+    if move == "EXC_INV":
+        return _EXC_INV_PULSES
+    swap12 = 3 * _flip_cost(3, phase, n) + 2 * _pulse_at_cost(1, phase, n) + 2
+    swap23 = 3 * _flip_cost(1, phase, n) + 2 * _pulse_at_cost(3, phase, n) + 2
+    return {"SWAP_Q1Q2": swap12, "SWAP_Q2Q3": swap23, "SWAP_Q1Q3": 2 * swap12 + swap23}[move]
+
+
+@lru_cache(maxsize=None)
+def _move_table(move: str, phase: PhaseLabel, n: int):
+    """Where each position lands under `move` at `phase` (entry 0 unused),
+    and the phase after it."""
+    positions, after = apply_move(tuple(range(1, n + 1)), phase, move, n)
+    return (0, *positions), after
+
+
+def _cheapest_route(operands: tuple[int, ...], routing: RoutingState, step_cost, end_cost) -> list[str]:
+    """Dijkstra over (positions of `operands`, phase).  `step_cost(move,
+    phase, n)` weighs an edge; `end_cost(positions, phase, n)` is the cost of
+    finishing in that state, or None where the gate cannot run.  Returns the
+    moves of the cheapest finish; equal costs go to the state queued first.
+    Does not mutate `routing`."""
+    n = len(routing.placement)
+    edges = {ph: [(m, *_move_table(m, ph, n), step_cost(m, ph, n)) for m in MOVES] for ph in PhaseLabel}
+    start = (tuple(routing.placement[q - 1] for q in operands), routing.phase)
+    best = {start: 0}
+    tie = itertools.count()
+    # A sorted list, not heapq: numpy already imports bisect, while heapq
+    # would map one more shared library into every command's memory.
+    queue = [(0, next(tie), False, start, [])]
+    while queue:
+        cost, _, finished, node, path = queue.pop(0)
+        if finished:
+            return path
+        if cost > best[node]:
+            continue  # superseded by a cheaper entry
+        positions, phase = node
+        end = end_cost(positions, phase, n)
+        if end is not None:
+            insort(queue, (cost + end, next(tie), True, node, path))
+        for move, table, after, step in edges[phase]:
+            nxt = (tuple(table[p] for p in positions), after)
+            nxt_cost = cost + step
+            if nxt_cost < best.get(nxt, math.inf):
+                best[nxt] = nxt_cost
+                insort(queue, (nxt_cost, next(tie), False, nxt, path + [move]))
+    raise AssertionError("unreachable: the routing move graph is connected")
+
+
 def bfs_route(targets: tuple[int, int, int], routing: RoutingState) -> list[str]:
-    """Shortest move sequence placing logical (a, b, c) at (Q_1, Q_3, Q_2).
+    """Fewest moves placing logical (a, b, c) at (Q_1, Q_3, Q_2): the
+    unit-weight call of the routing search.
 
     The search space is (pos_a, pos_b, pos_c, phase); moves are exchanges in
     either direction plus the three fixed-site swaps, so every arrangement is
     reachable.  Does not mutate `routing`.
     """
-    n = len(routing.placement)
-    start = (tuple(routing.placement[q - 1] for q in targets), routing.phase)
-    goal = (1, 3, 2)
-    if start[0] == goal:
-        return []
-    seen = {start}
-    queue = deque([(start, [])])
-    while queue:
-        (positions, phase), path = queue.popleft()
-        for move in MOVES:
-            nxt = apply_move(positions, phase, move, n)
-            if nxt in seen:
-                continue
-            if nxt[0] == goal:
-                return path + [move]
-            seen.add(nxt)
-            queue.append((nxt, path + [move]))
-    raise AssertionError("unreachable: the routing move graph is connected")
+    return _cheapest_route(
+        targets, routing, lambda *_: 1, lambda positions, *_: 0 if positions == (1, 3, 2) else None
+    )
+
+
+def _cnot_end(positions, phase: PhaseLabel, n: int):
+    """(control, target) at (Q_1 or Q_3, Q_2); the spare's flips cost extra."""
+    control, target = positions
+    if target != 2 or control not in (1, 3):
+        return None
+    return _flip_cost(4 - control, phase, n)
+
+
+def _toffoli_end(positions, phase: PhaseLabel, n: int):
+    """The controls are symmetric: (Q_1, Q_3, Q_2) and (Q_3, Q_1, Q_2) both run."""
+    return 0 if positions in ((1, 3, 2), (3, 1, 2)) else None
 
 
 # --- gate macros ------------------------------------------------------------------
@@ -263,19 +343,20 @@ def macro_single_qubit(j: int, theta: float, axis, routing: RoutingState) -> Pul
 
 
 def macro_cnot(a: int, c: int, routing: RoutingState) -> PulseSchedule:
-    """CNOT control a -> target c: route a, a spare qubit b and c onto
-    (Q_1, Q_3, Q_2), then Toffoli, flip b, Toffoli, flip b."""
+    """CNOT control a -> target c: route c onto Q_2 and a onto Q_1 or Q_3,
+    then Toffoli, flip the spare on the other control site, Toffoli, flip it
+    back.  The spare is whichever qubit routing leaves there."""
     if a == c:
         raise ValueError("CNOT needs two distinct qubits")
-    n = len(routing.placement)
-    b = min(q for q in range(1, n + 1) if q not in (a, c))
+    moves = _cheapest_route((a, c), routing, move_cost, _cnot_end)
     em = _Emitter(routing)
-    for move in bfs_route((a, b, c), routing):
+    for move in moves:
         em.do_move(move)
+    spare = 4 - routing.placement[a - 1]
     em.toffoli()
-    em.pulse_at(3, math.pi, X_AXIS)
+    em.pulse_at(spare, math.pi, X_AXIS)
     em.toffoli()
-    em.pulse_at(3, math.pi, X_AXIS)
+    em.pulse_at(spare, math.pi, X_AXIS)
     return em.finish()
 
 
@@ -287,10 +368,13 @@ def macro_swap(a: int, b: int, routing: RoutingState) -> PulseSchedule:
 
 
 def macro_toffoli(a: int, b: int, c: int, routing: RoutingState) -> PulseSchedule:
+    """Route c onto Q_2 and the controls a, b onto Q_1, Q_3 in either order,
+    then one Toffoli."""
     if len({a, b, c}) != 3:
         raise ValueError("TOFFOLI needs three distinct qubits")
+    moves = _cheapest_route((a, b, c), routing, move_cost, _toffoli_end)
     em = _Emitter(routing)
-    for move in bfs_route((a, b, c), routing):
+    for move in moves:
         em.do_move(move)
     em.toffoli()
     return em.finish()
@@ -368,15 +452,15 @@ def apply_with_boundary_residuals(
     state: State, topo: DeviceTopology, schedule: PulseSchedule
 ) -> list[float]:
     """Apply the schedule, measuring the out-of-subspace weight at every macro
-    boundary.  Returns the residuals in order."""
-    bounds = macro_boundaries(schedule)
+    boundary.  Returns the residuals in order.  A dense state is lowered to
+    its unpruned support once, as in `pulses.apply_schedule`."""
+    bounds = set(macro_boundaries(schedule))
     residuals = []
-    bi = 0
-    for i, pulse in enumerate(schedule.pulses, start=1):
-        apply_global_pulse(state, topo, pulse)
-        if bi < len(bounds) and bounds[bi] == i:
-            residuals.append(well_formed_residual(state, topo)[0])
-            bi += 1
+    with unpruned_support(state) as work:
+        for i, pulse in enumerate(schedule.pulses, start=1):
+            apply_global_pulse(work, topo, pulse)
+            if i in bounds:
+                residuals.append(well_formed_residual(work, topo)[0])
     return residuals
 
 

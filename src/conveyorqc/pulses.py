@@ -14,13 +14,12 @@ one-shot Toffoli, single-qubit rotations at Q_2, and the initialization line.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .state import PureState, State, control_mask, rotate_sites, rotation_matrix, unpruned_support
+from .state import State, control_mask, rotate_sites, rotation_matrix, unpruned_support
 from .topology import BASELINE, Crossing, DeviceTopology, Family
 
 X_AXIS = (1.0, 0.0, 0.0)
@@ -140,7 +139,7 @@ def apply_schedule(state: State, topo: DeviceTopology, schedule: PulseSchedule) 
     A dense state is lowered to its unpruned support once per schedule, every
     pulse runs on that support, and the result is written back into the same
     amplitude vector at the end, also when a pulse raises."""
-    with unpruned_support(state) if isinstance(state, PureState) else nullcontext(state) as work:
+    with unpruned_support(state) as work:
         for pulse in schedule.pulses:
             apply_global_pulse(work, topo, pulse)
     return state

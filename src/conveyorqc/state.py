@@ -7,8 +7,9 @@ the sparse backend stores its support as two arrays, basis indices and
 amplitudes, and prunes entries below a tolerance whenever a rotation splits
 amplitudes.  Both rotate through one kernel over the support: a dense state
 is lowered to its unpruned support (`unpruned_support`) and written back in
-place afterwards, once per schedule in `pulses.apply_schedule` and once per
-pulse for single-pulse callers.
+place afterwards, once per schedule in `pulses.apply_schedule` and
+`compiler.apply_with_boundary_residuals`, and once per pulse for single-pulse
+callers.
 """
 
 from __future__ import annotations
@@ -234,11 +235,15 @@ def to_sparse(state: PureState, prune_tolerance: float = SPARSE_PRUNE_TOL) -> Sp
 
 
 @contextmanager
-def unpruned_support(state: PureState):
-    """Lend the nonzero entries of a dense state as an unpruned SparseState.
+def unpruned_support(state: State):
+    """Lend the nonzero entries of a dense state as an unpruned SparseState;
+    a SparseState is lent as it is.
 
     On exit, also when the body raises, whatever the support then holds is
     written back into `state.amplitudes` in place."""
+    if isinstance(state, SparseState):
+        yield state
+        return
     work = to_sparse(state, 0.0)
     lowered = work.indices
     try:
@@ -348,16 +353,19 @@ def _project_logical(state: State, topo: DeviceTopology, phase: PhaseLabel) -> n
 def _complement_weight(state: State, topo: DeviceTopology, phase: PhaseLabel) -> float:
     # Summed directly over out-of-subspace entries: subtracting two O(1)
     # norms would hide anything below the float cancellation floor ~1e-8.
+    # The sum of squared real and imaginary parts is exact, so it does not
+    # depend on how or in which order the entries are stored.
     if isinstance(state, PureState):
         table = _ic_spread_table(topo) | _sector_mask(topo, phase)
         amp = state.amplitudes
         saved = amp[table].copy()
         amp[table] = 0.0
-        weight = float(np.vdot(amp, amp).real)
+        parts = amp.view(np.float64)
+        parts = parts[parts != 0]
         amp[table] = saved
-        return weight
-    outside = state.values[_logical_positions(state, topo, phase) < 0]
-    return float(np.vdot(outside, outside).real)
+    else:
+        parts = state.values[_logical_positions(state, topo, phase) < 0].view(np.float64)
+    return math.fsum((parts * parts).tolist())
 
 
 def well_formed_residual(state: State, topo: DeviceTopology):

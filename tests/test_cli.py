@@ -312,3 +312,17 @@ def test_verify_rejects_bad_rotation_gates(tmp_path, capsys, gate, message):
     for extra in ((), ("--schedule", str(sched))):
         code, report = run_cli(capsys, "verify", "--circuit", str(circ), "--n", "4", "--trials", "1", *extra)
         assert code == 2 and report["status"] == "error" and message in report["error"]
+
+
+@pytest.mark.parametrize("theta", ["10", "-10", "1000.5"])
+def test_compile_and_verify_reduce_r_angles_outside_two_pi(tmp_path, capsys, theta):
+    circ = tmp_path / "circ.txt"
+    circ.write_text(f"X q=1\nR q=2 theta={theta} axis=1,0,0\nR q=3 theta={theta} axis=0,0.6,0.8\n")
+    sched = tmp_path / "sched.txt"
+    code, report = run_cli(capsys, "compile", "--circuit", str(circ), "--n", "4", "--out", str(sched))
+    assert code == 0 and report["status"] == "ok"
+    for argv in ((), ("--schedule", str(sched))):
+        code, report = run_cli(
+            capsys, "verify", "--circuit", str(circ), "--n", "4", "--seed", "5", "--trials", "3", *argv
+        )
+        assert code == 0 and report["min_fidelity"] >= 1 - 1e-8
