@@ -8,6 +8,7 @@ occupants the other way while toggling the sector phase.
 
 Placement is tracked, not restored: gates are lowered against the current
 placement and the final placement is reported so a verifier can un-permute.
+A logical SWAP is therefore a placement relabel and emits no pulse.
 
 Routing is pulse-cost aware.  One Dijkstra search over (tracked positions,
 phase) weighs each move by the pulses it emits at that phase: 8 for an
@@ -129,16 +130,18 @@ class _Emitter:
         self.sched.pulses.extend(pulses)
         self.sched.annotations.append(MacroSpan(name, start, len(self.sched.pulses)))
 
+    def _track(self, move: str) -> None:
+        """Move the tracked placement and phase as `move` moves occupants."""
+        table, self.rt.phase = _move_table(move, self.rt.phase, self.n)
+        self.rt.placement = [table[p] for p in self.rt.placement]
+
     def exc(self) -> None:
         self._mark("EXC", seq_exchange().pulses)
-        self.rt.placement = [step_position(p, self.rt.phase, self.n) for p in self.rt.placement]
-        self.rt.phase = self.rt.phase.flipped()
+        self._track("EXC")
 
     def exc_inv(self) -> None:
         self._mark("EXC_INV", seq_exchange_inverse().pulses)
-        flipped = self.rt.phase.flipped()
-        self.rt.placement = [step_position(p, flipped, self.n) for p in self.rt.placement]
-        self.rt.phase = flipped
+        self._track("EXC_INV")
 
     def q2_pulse(self, theta: float, axis) -> None:
         # R(theta + 4pi) = R(theta); the remainder leaves [-2pi, 2pi] unchanged.
@@ -178,11 +181,6 @@ class _Emitter:
         self.pulse_at(target_pos, math.pi, HADAMARD_AXIS)
         self.pulse_at(2, math.pi, HADAMARD_AXIS)
 
-    def _relabel(self, x: int, y: int) -> None:
-        ix = self.rt.placement.index(x)
-        iy = self.rt.placement.index(y)
-        self.rt.placement[ix], self.rt.placement[iy] = y, x
-
     def swap_positions(self, x: int, y: int) -> None:
         """Physically exchange the occupants of two of Q_1..Q_3 and relabel
         the placement, so the tracked logical content is unchanged."""
@@ -191,12 +189,12 @@ class _Emitter:
             self.cnot_towards_q2(1)
             self.cnot_from_q2(1)
             self.cnot_towards_q2(1)
-            self._relabel(1, 2)
+            self._track("SWAP_Q1Q2")
         elif pair == (2, 3):
             self.cnot_towards_q2(3)
             self.cnot_from_q2(3)
             self.cnot_towards_q2(3)
-            self._relabel(2, 3)
+            self._track("SWAP_Q2Q3")
         elif pair == (1, 3):
             self.swap_positions(1, 2)
             self.swap_positions(2, 3)
@@ -361,10 +359,12 @@ def macro_cnot(a: int, c: int, routing: RoutingState) -> PulseSchedule:
 
 
 def macro_swap(a: int, b: int, routing: RoutingState) -> PulseSchedule:
-    out = macro_cnot(a, b, routing)
-    out.extend(macro_cnot(b, a, routing))
-    out.extend(macro_cnot(a, b, routing))
-    return out
+    """Logical a and b trade the positions they are tracked at: no pulse."""
+    if a == b:
+        raise ValueError("SWAP needs two distinct qubits")
+    p = routing.placement
+    p[a - 1], p[b - 1] = p[b - 1], p[a - 1]
+    return PulseSchedule()
 
 
 def macro_toffoli(a: int, b: int, c: int, routing: RoutingState) -> PulseSchedule:

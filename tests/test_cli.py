@@ -158,6 +158,34 @@ def test_compile_and_verify(tmp_path, capsys):
     assert code == 0 and report["min_fidelity"] >= 1 - 1e-8
 
 
+def test_swap_only_circuit_compiles_to_no_pulses(tmp_path, capsys):
+    circ = tmp_path / "circ.txt"
+    circ.write_text("SWAP a=1 b=3\n")
+    sched = tmp_path / "sched.txt"
+    code, report = run_cli(
+        capsys, "compile", "--circuit", str(circ), "--n", "4", "--out", str(sched)
+    )
+    assert code == 0 and report["pulse_count"] == 0
+    assert report["final_placement"] == [3, 2, 1, 4]
+    lines = sched.read_text().splitlines()
+    assert "# pulses: 0" in lines and "# final_placement: 3,2,1,4" in lines
+
+    for extra in ((), ("--schedule", str(sched))):
+        code, report = run_cli(
+            capsys, "verify", "--circuit", str(circ), "--n", "4", "--trials", "3", *extra
+        )
+        assert code == 0 and report["pulse_count"] == 0
+        assert all(f == pytest.approx(1.0, abs=1e-12) for f in report["fidelities"])
+
+    topo_file = tmp_path / "topo.json"
+    run_cli(capsys, "topology", "--n", "4", "--out", str(topo_file))
+    out = tmp_path / "state.csv"
+    code, report = run_cli(
+        capsys, "run", "--topology", str(topo_file), "--schedule", str(sched), "--out", str(out)
+    )
+    assert code == 0 and report["pulse_count"] == 0
+
+
 def test_verify_flags_corrupted_schedule(tmp_path, capsys):
     circ = tmp_path / "circ.txt"
     circ.write_text("X q=1\n")

@@ -1,6 +1,8 @@
 """Pulse-cost routing: the search's cost model, its optimality against the
 fewest-moves route, and oracle equivalence of the freedoms it uses (either
-Toffoli control order, the CNOT spare on either control site)."""
+Toffoli control order, the CNOT spare on either control site).  Also the
+placement tracking: moves against `apply_move`, the logical SWAP as a
+relabel, and the physical swaps it no longer emits."""
 
 import itertools
 import math
@@ -14,11 +16,13 @@ from conveyorqc.compiler import (
     LogicalGate,
     RoutingState,
     _Emitter,
+    apply_move,
     apply_with_boundary_residuals,
     bfs_route,
     compile_circuit,
     macro_boundaries,
     macro_cnot,
+    macro_swap,
     macro_toffoli,
     move_cost,
     permute_logical,
@@ -146,3 +150,98 @@ def test_boundary_residuals_match_per_pulse_loop():
     assert np.array_equal(residuals, expected)
     assert min(residuals) > 0
     assert np.array_equal(fast.amplitudes, slow.amplitudes)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_do_move_tracks_like_apply_move(n):
+    start = [int(p) + 1 for p in np.random.default_rng(n).permutation(n)]
+    for phase in PhaseLabel:
+        for move in MOVES:
+            routing = RoutingState(list(start), phase)
+            _Emitter(routing).do_move(move)
+            positions, after = apply_move(tuple(start), phase, move, n)
+            assert (routing.placement, routing.phase) == (list(positions), after), (move, phase)
+
+
+def test_macro_swap_relabels_placement():
+    rng = np.random.default_rng(3)
+    for n in (4, 6):
+        for a, b in itertools.permutations(range(1, n + 1), 2):
+            routing = _random_routing(n, rng)
+            before = _copy(routing)
+            sched = macro_swap(a, b, routing)
+            assert len(sched) == 0 and not sched.annotations
+            want = list(before.placement)
+            want[a - 1], want[b - 1] = want[b - 1], want[a - 1]
+            assert routing.placement == want
+            assert routing.phase is before.phase and routing.pulse_count == 0
+        with pytest.raises(ValueError):
+            macro_swap(2, 2, _random_routing(n, rng))
+
+
+def _run_compiled(circ, topo, backend, psi):
+    result = compile_circuit(circ, topo)
+    st = encode_well_formed(psi, PhaseLabel.FP, topo, backend=backend)
+    apply_schedule(st, topo, result.schedule)
+    dec, phase, _ = decode_well_formed(st, topo)
+    assert phase is result.phase
+    return result, dec
+
+
+def test_swaps_between_gates_match_oracle():
+    n, topo = 6, TOPOS[6]
+    rng = np.random.default_rng(71)
+    for _ in range(6):
+        gates = []
+        for gate in random_circuit(n, 4, rng).gates:
+            pair = tuple(int(q) + 1 for q in rng.choice(n, size=2, replace=False))
+            gates += [gate, LogicalGate("SWAP", pair)]
+        circ = LogicalCircuit(n, tuple(gates))
+        psi = random_logical_state(n, rng)
+        result, dec = _run_compiled(circ, topo, "sparse", psi)
+        want = permute_logical(simulate_logical(circ, psi), result.placement)
+        fid, _ = compare_up_to_global_phase(want, dec)
+        assert fid >= 1 - 1e-9, circ
+
+
+@pytest.mark.parametrize("n, backend", [(4, "dense"), (6, "sparse")])
+def test_three_cnots_match_oracle_swap(n, backend):
+    topo = TOPOS[n]
+    rng = np.random.default_rng(80 + n)
+    for a, b in itertools.combinations(range(1, n + 1), 2):
+        circ = LogicalCircuit(
+            n, (LogicalGate("CNOT", (a, b)), LogicalGate("CNOT", (b, a)), LogicalGate("CNOT", (a, b)))
+        )
+        psi = random_logical_state(n, rng)
+        result, dec = _run_compiled(circ, topo, backend, psi)
+        assert result.pulse_count > 0
+        swap = LogicalCircuit(n, (LogicalGate("SWAP", (a, b)),))
+        want = permute_logical(simulate_logical(swap, psi), result.placement)
+        fid, _ = compare_up_to_global_phase(want, dec)
+        assert fid >= 1 - 1e-9, (a, b)
+
+
+@pytest.mark.parametrize("n, backend", [(4, "dense"), (6, "sparse")])
+def test_fixed_site_swaps_exchange_occupants(n, backend):
+    """Each routing swap moves the logical content of one site onto the other:
+    the decoded register equals the oracle SWAP of those two positions."""
+    topo = TOPOS[n]
+    rng = np.random.default_rng(90 + n)
+    for phase in PhaseLabel:
+        for move in ("SWAP_Q1Q2", "SWAP_Q2Q3", "SWAP_Q1Q3"):
+            start = [int(p) + 1 for p in rng.permutation(n)]
+            routing = RoutingState(list(start), phase)
+            em = _Emitter(routing)
+            em.do_move(move)
+            psi = random_logical_state(n, rng)
+            before = permute_logical(psi, start)
+            st = encode_well_formed(before, phase, topo, backend=backend)
+            apply_schedule(st, topo, em.finish())
+            dec, dec_phase, _ = decode_well_formed(st, topo)
+            assert dec_phase is phase
+            sites = LogicalCircuit(n, (LogicalGate("SWAP", (int(move[6]), int(move[8]))),))
+            fid, _ = compare_up_to_global_phase(simulate_logical(sites, before), dec)
+            assert fid >= 1 - 1e-9, (move, phase)
+            # the tracked placement follows the occupants
+            fid, _ = compare_up_to_global_phase(permute_logical(psi, routing.placement), dec)
+            assert fid >= 1 - 1e-9, (move, phase)
