@@ -30,6 +30,7 @@ import numpy as np
 
 from .pulses import (
     HADAMARD_AXIS,
+    MACROS,
     GlobalPulse,
     MacroSpan,
     PulseSchedule,
@@ -37,11 +38,8 @@ from .pulses import (
     X_AXIS,
     Z_AXIS,
     apply_global_pulse,
-    seq_exchange,
-    seq_exchange_inverse,
-    seq_toffoli,
 )
-from .state import LogicalStateVector, PhaseLabel, State, unpruned_support, well_formed_residual
+from .state import LogicalStateVector, PhaseLabel, SparseState, well_formed_residual
 from .topology import BASELINE, DeviceTopology
 
 GATE_ARITY = {"R": 1, "X": 1, "Z": 1, "H": 1, "CNOT": 2, "CZ": 2, "SWAP": 2, "TOFFOLI": 3}
@@ -125,9 +123,10 @@ class _Emitter:
         self.n = len(routing.placement)
         self.sched = PulseSchedule()
 
-    def _mark(self, name: str, pulses: list[GlobalPulse]) -> None:
+    def _mark(self, name: str) -> None:
+        """Emit the named fixed macro as one annotated span."""
         start = len(self.sched.pulses)
-        self.sched.pulses.extend(pulses)
+        self.sched.pulses.extend(MACROS[name])
         self.sched.annotations.append(MacroSpan(name, start, len(self.sched.pulses)))
 
     def _track(self, move: str) -> None:
@@ -136,11 +135,11 @@ class _Emitter:
         self.rt.placement = [table[p] for p in self.rt.placement]
 
     def exc(self) -> None:
-        self._mark("EXC", seq_exchange().pulses)
+        self._mark("EXC")
         self._track("EXC")
 
     def exc_inv(self) -> None:
-        self._mark("EXC_INV", seq_exchange_inverse().pulses)
+        self._mark("EXC_INV")
         self._track("EXC_INV")
 
     def q2_pulse(self, theta: float, axis) -> None:
@@ -149,7 +148,7 @@ class _Emitter:
         self.sched.pulses.append(GlobalPulse(TargetClass.B_CROSSED, theta, tuple(axis)))
 
     def toffoli(self) -> None:
-        self._mark("TOFFOLI", seq_toffoli().pulses)
+        self._mark("TOFFOLI")
 
     def pulse_at(self, pos: int, theta: float, axis) -> None:
         """Rotate the occupant of IC position `pos`: rotate it into Q_2,
@@ -235,9 +234,9 @@ def apply_move(positions: tuple[int, ...], phase: PhaseLabel, move: str, n: int)
     return tuple(y if p == x else x if p == y else p for p in positions), phase
 
 
-_EXC_PULSES = len(seq_exchange())
-_EXC_INV_PULSES = len(seq_exchange_inverse())
-_TOFFOLI_PULSES = len(seq_toffoli())
+_EXC_PULSES = len(MACROS["EXC"])
+_EXC_INV_PULSES = len(MACROS["EXC_INV"])
+_TOFFOLI_PULSES = len(MACROS["TOFFOLI"])
 
 
 def _pulse_at_cost(pos: int, phase: PhaseLabel, n: int) -> int:
@@ -388,7 +387,31 @@ class CompileResult:
     pulse_count: int
 
 
+def _lower_gate(gate: LogicalGate, routing: RoutingState) -> PulseSchedule:
+    if gate.kind == "R":
+        return macro_single_qubit(gate.qubits[0], gate.theta, gate.axis, routing)
+    if gate.kind == "X":
+        return macro_single_qubit(gate.qubits[0], math.pi, X_AXIS, routing)
+    if gate.kind == "Z":
+        return macro_single_qubit(gate.qubits[0], math.pi, Z_AXIS, routing)
+    if gate.kind == "H":
+        return macro_single_qubit(gate.qubits[0], math.pi, HADAMARD_AXIS, routing)
+    if gate.kind == "CNOT":
+        return macro_cnot(gate.qubits[0], gate.qubits[1], routing)
+    if gate.kind == "CZ":
+        a, c = gate.qubits
+        part = macro_single_qubit(c, math.pi, HADAMARD_AXIS, routing)
+        part.extend(macro_cnot(a, c, routing))
+        part.extend(macro_single_qubit(c, math.pi, HADAMARD_AXIS, routing))
+        return part
+    if gate.kind == "SWAP":
+        return macro_swap(gate.qubits[0], gate.qubits[1], routing)
+    return macro_toffoli(gate.qubits[0], gate.qubits[1], gate.qubits[2], routing)
+
+
 def compile_circuit(circuit: LogicalCircuit, topo: DeviceTopology) -> CompileResult:
+    """Lower every gate in order; a gate that cannot be lowered raises
+    ValueError naming its 1-based index and kind."""
     if topo.kind != BASELINE:
         raise ValueError("compilation targets the baseline design only")
     if circuit.n_qubits != topo.n_logical:
@@ -397,27 +420,11 @@ def compile_circuit(circuit: LogicalCircuit, topo: DeviceTopology) -> CompileRes
         )
     routing = initial_routing(circuit.n_qubits)
     total = PulseSchedule()
-    for gate in circuit.gates:
-        if gate.kind == "R":
-            part = macro_single_qubit(gate.qubits[0], gate.theta, gate.axis, routing)
-        elif gate.kind == "X":
-            part = macro_single_qubit(gate.qubits[0], math.pi, X_AXIS, routing)
-        elif gate.kind == "Z":
-            part = macro_single_qubit(gate.qubits[0], math.pi, Z_AXIS, routing)
-        elif gate.kind == "H":
-            part = macro_single_qubit(gate.qubits[0], math.pi, HADAMARD_AXIS, routing)
-        elif gate.kind == "CNOT":
-            part = macro_cnot(gate.qubits[0], gate.qubits[1], routing)
-        elif gate.kind == "CZ":
-            a, c = gate.qubits
-            part = macro_single_qubit(c, math.pi, HADAMARD_AXIS, routing)
-            part.extend(macro_cnot(a, c, routing))
-            part.extend(macro_single_qubit(c, math.pi, HADAMARD_AXIS, routing))
-        elif gate.kind == "SWAP":
-            part = macro_swap(gate.qubits[0], gate.qubits[1], routing)
-        else:  # TOFFOLI
-            part = macro_toffoli(gate.qubits[0], gate.qubits[1], gate.qubits[2], routing)
-        total.extend(part)
+    for i, gate in enumerate(circuit.gates, start=1):
+        try:
+            total.extend(_lower_gate(gate, routing))
+        except ValueError as e:
+            raise ValueError(f"gate {i} ({gate.kind}): {e}") from None
     return CompileResult(total, tuple(routing.placement), routing.phase, len(total.pulses))
 
 
@@ -449,18 +456,16 @@ def macro_boundaries(schedule: PulseSchedule) -> list[int]:
 
 
 def apply_with_boundary_residuals(
-    state: State, topo: DeviceTopology, schedule: PulseSchedule
+    state: SparseState, topo: DeviceTopology, schedule: PulseSchedule
 ) -> list[float]:
     """Apply the schedule, measuring the out-of-subspace weight at every macro
-    boundary.  Returns the residuals in order.  A dense state is lowered to
-    its unpruned support once, as in `pulses.apply_schedule`."""
+    boundary.  Returns the residuals in order."""
     bounds = set(macro_boundaries(schedule))
     residuals = []
-    with unpruned_support(state) as work:
-        for i, pulse in enumerate(schedule.pulses, start=1):
-            apply_global_pulse(work, topo, pulse)
-            if i in bounds:
-                residuals.append(well_formed_residual(work, topo)[0])
+    for i, pulse in enumerate(schedule.pulses, start=1):
+        apply_global_pulse(state, topo, pulse)
+        if i in bounds:
+            residuals.append(well_formed_residual(state, topo)[0])
     return residuals
 
 

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .state import State, control_mask, rotate_sites, rotation_matrix, unpruned_support
+from .state import SparseState, control_mask, rotate_sites, rotation_matrix
 from .topology import BASELINE, Crossing, DeviceTopology, Family
 
 X_AXIS = (1.0, 0.0, 0.0)
@@ -122,7 +122,7 @@ def class_masks(topo: DeviceTopology, target: TargetClass) -> tuple[np.ndarray, 
     return hit
 
 
-def apply_global_pulse(state: State, topo: DeviceTopology, pulse: GlobalPulse) -> State:
+def apply_global_pulse(state: SparseState, topo: DeviceTopology, pulse: GlobalPulse) -> SparseState:
     """Apply one blockade-conditioned rotation per site of the target class."""
     if pulse.target is TargetClass.INIT_LINE and topo.kind != BASELINE:
         raise ValueError("the initialization line exists only on the baseline design")
@@ -133,15 +133,10 @@ def apply_global_pulse(state: State, topo: DeviceTopology, pulse: GlobalPulse) -
     return state
 
 
-def apply_schedule(state: State, topo: DeviceTopology, schedule: PulseSchedule) -> State:
-    """Apply the pulses in order; mutates and returns `state`.
-
-    A dense state is lowered to its unpruned support once per schedule, every
-    pulse runs on that support, and the result is written back into the same
-    amplitude vector at the end, also when a pulse raises."""
-    with unpruned_support(state) as work:
-        for pulse in schedule.pulses:
-            apply_global_pulse(work, topo, pulse)
+def apply_schedule(state: SparseState, topo: DeviceTopology, schedule: PulseSchedule) -> SparseState:
+    """Apply the pulses in order; mutates and returns `state`."""
+    for pulse in schedule.pulses:
+        apply_global_pulse(state, topo, pulse)
     return state
 
 
@@ -149,7 +144,7 @@ def apply_schedule(state: State, topo: DeviceTopology, schedule: PulseSchedule) 
 
 _B_ALL_PI_X = GlobalPulse(TargetClass.B_ALL, math.pi, X_AXIS)
 _EXC = (GlobalPulse(TargetClass.A_REGULAR, math.pi, X_AXIS), _B_ALL_PI_X) * 4
-_MACROS = {
+MACROS = {
     "EXC": _EXC,
     "EXC_INV": (_B_ALL_PI_X, *_EXC, _B_ALL_PI_X),
     "CCZ": (GlobalPulse(TargetClass.A_CROSSED, 2 * math.pi, X_AXIS),),
@@ -165,7 +160,7 @@ _MACROS = {
 
 
 def _span(name: str, pulses: list[GlobalPulse] | None = None) -> PulseSchedule:
-    pulses = list(_MACROS[name] if pulses is None else pulses)
+    pulses = list(MACROS[name] if pulses is None else pulses)
     return PulseSchedule(pulses, [MacroSpan(name, 0, len(pulses))])
 
 
@@ -217,8 +212,8 @@ def write_schedule(schedule: PulseSchedule, meta: dict | None = None) -> str:
     i = 0
     while i < len(schedule.pulses):
         span = spans.get(i)
-        if span is not None and span.name in _MACROS:
-            canonical = _MACROS[span.name]
+        if span is not None and span.name in MACROS:
+            canonical = MACROS[span.name]
             if tuple(schedule.pulses[i : i + len(canonical)]) == canonical:
                 lines.append(f"MACRO {span.name}")
                 i += len(canonical)
@@ -252,7 +247,7 @@ def parse_schedule(text: str) -> tuple[PulseSchedule, dict[str, str]]:
             continue
         fields = line.split()
         if fields[0] == "MACRO":
-            if len(fields) != 2 or fields[1] not in _MACROS:
+            if len(fields) != 2 or fields[1] not in MACROS:
                 raise ValueError(f"line {line_no}: unknown macro in {line!r}")
             schedule.extend(_span(fields[1]))
             continue

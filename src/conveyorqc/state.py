@@ -1,22 +1,21 @@
-"""Exact quantum states over all physical qubits, dense and sparse backends.
+"""Exact quantum states over all physical qubits.
 
 Basis convention: little-endian, bit i of the basis index is qubit i,
 bit value 0 = |g>, 1 = |e>.  Rotations follow R(theta, n) =
-exp(-i (theta/2) n.sigma).  The dense backend stores all 2^n amplitudes;
-the sparse backend stores its support as two arrays, basis indices and
-amplitudes, and prunes entries below a tolerance whenever a rotation splits
-amplitudes.  Both rotate through one kernel over the support: a dense state
-is lowered to its unpruned support (`unpruned_support`) and written back in
-place afterwards, once per schedule in `pulses.apply_schedule` and
-`compiler.apply_with_boundary_residuals`, and once per pulse for single-pulse
-callers.
+exp(-i (theta/2) n.sigma).  Every state is stored as its support: two
+arrays, basis indices and amplitudes.  A well-formed state spans at most 2^N
+of the 2^(4N+1) device basis states, so the support stays small.  The two
+backends differ only in the prune tolerance and the size limit: "dense" keeps
+every nonzero entry (tolerance 0) and refuses more than 26 qubits, the limit
+of a 2^n vector (`to_dense`); "sparse" drops split branches below
+`SPARSE_PRUNE_TOL`.  `PureState` is only the dense snapshot that `to_dense`
+returns and `to_sparse` reads.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,9 +25,12 @@ from .topology import DeviceTopology
 
 SPARSE_PRUNE_TOL = 1e-12
 DECODE_TOL = 1e-9
-# Largest state each backend can hold: 2^26 complex128 amplitudes are 1 GiB,
-# and sparse basis indices are int64.
+# Largest state each backend can hold.  A dense state must fit the 2^n
+# snapshot of `to_dense` (2^26 complex128 amplitudes are 1 GiB); sparse basis
+# indices are int64.
 MAX_QUBITS = {"dense": 26, "sparse": 63}
+# The backends differ only in this and MAX_QUBITS: dense keeps every entry.
+PRUNE_TOLERANCE = {"dense": 0.0, "sparse": SPARSE_PRUNE_TOL}
 
 
 class PhaseLabel(str, Enum):
@@ -50,20 +52,21 @@ class NotWellFormedError(ValueError):
 
 @dataclass
 class PureState:
-    n_qubits: int
-    amplitudes: np.ndarray  # complex128, length 2**n_qubits
+    """A dense snapshot: all 2^n amplitudes (complex128)."""
 
-    def copy(self) -> "PureState":
-        return PureState(self.n_qubits, self.amplitudes.copy())
+    n_qubits: int
+    amplitudes: np.ndarray
 
 
 @dataclass
 class SparseState:
-    """The support of a state: distinct basis indices (int64, in no set
-    order) and their amplitudes (complex128).
+    """A state as its support: distinct basis indices (int64, in no set
+    order) and their amplitudes (complex128).  This is the one storage that
+    every kernel reads and writes, on both backends.
 
     A pulse drops each split branch whose magnitude is below
-    `prune_tolerance`.  The bound is per entry, not per state: one pulse can
+    `prune_tolerance`; at 0 (the dense backend) nothing is dropped and the
+    state is exact.  The bound is per entry, not per state: one pulse can
     drop many branches, so the L2 distance to the unpruned state can exceed
     `prune_tolerance`."""
 
@@ -98,9 +101,6 @@ class _SupportView(Mapping):
         return complex(self._state.values[hit[0]])
 
 
-State = PureState | SparseState
-
-
 @dataclass
 class LogicalStateVector:
     """Amplitudes of the N computational qubits, same bit convention."""
@@ -119,19 +119,16 @@ def _check_size(n_qubits: int, backend: str) -> None:
         )
 
 
-def all_ground(n_qubits: int, backend: str = "dense") -> State:
+def all_ground(n_qubits: int, backend: str = "dense") -> SparseState:
     if n_qubits < 1:
         raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
     _check_size(n_qubits, backend)
-    if backend == "dense":
-        amp = np.zeros(1 << n_qubits, dtype=np.complex128)
-        amp[0] = 1.0
-        return PureState(n_qubits, amp)
-    return SparseState(n_qubits, np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128))
+    tol = PRUNE_TOLERANCE[backend]
+    return SparseState(n_qubits, np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128), tol)
 
 
-def norm(state: State) -> float:
-    return float(np.linalg.norm(state.amplitudes if isinstance(state, PureState) else state.values))
+def norm(state: SparseState) -> float:
+    return float(np.linalg.norm(state.values))
 
 
 def rotation_matrix(theta: float, axis) -> np.ndarray:
@@ -156,12 +153,13 @@ def rotation_matrix(theta: float, axis) -> np.ndarray:
 _MATRIX_SNAP = 1e-15
 
 
-def _rotate_support(
-    idx: np.ndarray, val: np.ndarray, prune_tol: float, tbits: np.ndarray, cmasks: np.ndarray, r: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate the support (basis indices `idx`, amplitudes `val`) and return
-    the new support; split branches below `prune_tol` are dropped.  The
-    input arrays are left as they are."""
+def rotate_sites(state: SparseState, tbits: np.ndarray, cmasks: np.ndarray, r: np.ndarray) -> None:
+    """Apply `r` to every target bit `tbits[k]` on the subspace where the
+    bits of `cmasks[k]` are all |g>.  No target bit may lie in any control
+    mask, so the per-site factors commute.  Split branches below the
+    state's prune tolerance are dropped; the old arrays are replaced, not
+    written to."""
+    idx, val = state.indices, state.values
     r00, r01, r10, r11 = r[0, 0], r[0, 1], r[1, 0], r[1, 1]
     diag = abs(r01) < _MATRIX_SNAP and abs(r10) < _MATRIX_SNAP
     if diag or (abs(r00) < _MATRIX_SNAP and abs(r11) < _MATRIX_SNAP):
@@ -172,8 +170,9 @@ def _rotate_support(
         cond = (idx[:, None] & cmasks) == 0
         on, off = (r11, r00) if diag else (r01, r10)  # factor when the target bit is 1 / 0
         factor = off if on == off else np.where((idx[:, None] & tbits) != 0, on, off)
-        val = val * np.where(cond, factor, 1).prod(axis=1)
-        return (idx if diag else idx ^ (cond @ tbits)), val
+        state.indices = idx if diag else idx ^ (cond @ tbits)
+        state.values = val * np.where(cond, factor, 1).prod(axis=1)
+        return
     # Splitting rotation: site by site, send each conditioned entry to both
     # values of the target bit, then add up entries that land on one index.
     for tbit, cmask in zip(tbits, cmasks):
@@ -186,24 +185,10 @@ def _rotate_support(
         summed = np.empty(len(merged), dtype=np.complex128)
         summed.real = np.bincount(where, split.real, len(merged))
         summed.imag = np.bincount(where, split.imag, len(merged))
-        keep = np.abs(summed) >= prune_tol
+        keep = np.abs(summed) >= state.prune_tolerance
         idx = np.concatenate([idx[~cond], merged[keep]])
         val = np.concatenate([val[~cond], summed[keep]])
-    return idx, val
-
-
-def rotate_sites(state: State, tbits: np.ndarray, cmasks: np.ndarray, r: np.ndarray) -> None:
-    """Apply `r` to every target bit `tbits[k]` on the subspace where the
-    bits of `cmasks[k]` are all |g>.  No target bit may lie in any control
-    mask, so the per-site factors commute.  Both backends rotate their
-    support; a dense state keeps every amplitude, so it is never pruned."""
-    if isinstance(state, PureState):
-        with unpruned_support(state) as work:
-            rotate_sites(work, tbits, cmasks, r)
-    else:
-        state.indices, state.values = _rotate_support(
-            state.indices, state.values, state.prune_tolerance, tbits, cmasks, r
-        )
+    state.indices, state.values = idx, val
 
 
 def control_mask(control_sites) -> int:
@@ -213,7 +198,7 @@ def control_mask(control_sites) -> int:
     return mask
 
 
-def apply_controlled_rotation(state: State, target: int, control_sites, theta: float, axis) -> State:
+def apply_controlled_rotation(state: SparseState, target: int, control_sites, theta: float, axis) -> SparseState:
     """Rotate `target` by R(theta, axis) on the subspace where every control
     site is |g>; identity elsewhere.  Mutates and returns `state`."""
     controls = frozenset(control_sites)
@@ -234,26 +219,6 @@ def to_sparse(state: PureState, prune_tolerance: float = SPARSE_PRUNE_TOL) -> Sp
     return SparseState(state.n_qubits, nz.astype(np.int64), amp[nz], prune_tolerance)
 
 
-@contextmanager
-def unpruned_support(state: State):
-    """Lend the nonzero entries of a dense state as an unpruned SparseState;
-    a SparseState is lent as it is.
-
-    On exit, also when the body raises, whatever the support then holds is
-    written back into `state.amplitudes` in place."""
-    if isinstance(state, SparseState):
-        yield state
-        return
-    work = to_sparse(state, 0.0)
-    lowered = work.indices
-    try:
-        yield work
-    finally:
-        amp = state.amplitudes
-        amp[lowered] = 0
-        amp[work.indices] = work.values
-
-
 def to_dense(state: SparseState) -> PureState:
     _check_size(state.n_qubits, "dense")
     amp = np.zeros(1 << state.n_qubits, dtype=np.complex128)
@@ -261,30 +226,26 @@ def to_dense(state: SparseState) -> PureState:
     return PureState(state.n_qubits, amp)
 
 
-def _inner(s1: State, s2: State) -> complex:
-    if isinstance(s1, PureState) and isinstance(s2, PureState):
-        return complex(np.vdot(s1.amplitudes, s2.amplitudes))
-    if isinstance(s1, SparseState) and isinstance(s2, SparseState):
-        _, i1, i2 = np.intersect1d(s1.indices, s2.indices, assume_unique=True, return_indices=True)
-        return complex(np.vdot(s1.values[i1], s2.values[i2]))
-    if isinstance(s1, SparseState):
-        return complex(np.vdot(s1.values, s2.amplitudes[s1.indices]))
-    return complex(np.vdot(s1.amplitudes[s2.indices], s2.values))
+def _inner(s1: SparseState, s2: SparseState) -> complex:
+    _, i1, i2 = np.intersect1d(s1.indices, s2.indices, assume_unique=True, return_indices=True)
+    return complex(np.vdot(s1.values[i1], s2.values[i2]))
 
 
-def fidelity(s1: State, s2: State) -> float:
+def fidelity(s1: SparseState, s2: SparseState) -> float:
     """|<s1|s2>|^2; insensitive to global phase."""
     if s1.n_qubits != s2.n_qubits:
         raise ValueError(f"qubit count mismatch: {s1.n_qubits} vs {s2.n_qubits}")
     return float(abs(_inner(s1, s2)) ** 2)
 
 
-def l2_distance(s1: State, s2: State) -> float:
+def l2_distance(s1: SparseState, s2: SparseState) -> float:
     if s1.n_qubits != s2.n_qubits:
         raise ValueError(f"qubit count mismatch: {s1.n_qubits} vs {s2.n_qubits}")
-    d1 = s1 if isinstance(s1, PureState) else to_dense(s1)
-    d2 = s2 if isinstance(s2, PureState) else to_dense(s2)
-    return float(np.linalg.norm(d1.amplitudes - d2.amplitudes))
+    union = np.union1d(s1.indices, s2.indices)
+    diff = np.zeros(len(union), dtype=np.complex128)
+    diff[np.searchsorted(union, s1.indices)] = s1.values
+    diff[np.searchsorted(union, s2.indices)] -= s2.values
+    return float(np.linalg.norm(diff))
 
 
 # --- well-formed encoding ------------------------------------------------------
@@ -309,7 +270,7 @@ def _sector_mask(topo: DeviceTopology, phase: PhaseLabel) -> int:
 
 def encode_well_formed(
     psi: LogicalStateVector, phase: PhaseLabel, topo: DeviceTopology, backend: str = "dense"
-) -> State:
+) -> SparseState:
     """Lift the logical state onto the device: IC sites carry the amplitudes,
     sectors alternate ferromagnetic/paramagnetic per `phase`, everything else
     stays in |g>."""
@@ -320,13 +281,10 @@ def encode_well_formed(
     n_phys = topo.n_sites
     _check_size(n_phys, backend)
     table = _ic_spread_table(topo) | _sector_mask(topo, phase)
-    if backend == "dense":
-        amp = np.zeros(1 << n_phys, dtype=np.complex128)
-        amp[table] = psi.amplitudes
-        return PureState(n_phys, amp)
     amp = np.asarray(psi.amplitudes, dtype=np.complex128)
-    keep = np.abs(amp) >= SPARSE_PRUNE_TOL
-    return SparseState(n_phys, table[keep], amp[keep])
+    tol = PRUNE_TOLERANCE[backend]
+    keep = np.abs(amp) >= tol if tol else amp != 0
+    return SparseState(n_phys, table[keep], amp[keep], tol)
 
 
 def _logical_positions(state: SparseState, topo: DeviceTopology, phase: PhaseLabel) -> np.ndarray:
@@ -340,9 +298,7 @@ def _logical_positions(state: SparseState, topo: DeviceTopology, phase: PhaseLab
     return np.where(inside, pos, -1)
 
 
-def _project_logical(state: State, topo: DeviceTopology, phase: PhaseLabel) -> np.ndarray:
-    if isinstance(state, PureState):
-        return state.amplitudes[_ic_spread_table(topo) | _sector_mask(topo, phase)]
+def _project_logical(state: SparseState, topo: DeviceTopology, phase: PhaseLabel) -> np.ndarray:
     pos = _logical_positions(state, topo, phase)
     inside = pos >= 0
     c = np.zeros(1 << topo.n_logical, dtype=np.complex128)
@@ -350,25 +306,16 @@ def _project_logical(state: State, topo: DeviceTopology, phase: PhaseLabel) -> n
     return c
 
 
-def _complement_weight(state: State, topo: DeviceTopology, phase: PhaseLabel) -> float:
+def _complement_weight(state: SparseState, topo: DeviceTopology, phase: PhaseLabel) -> float:
     # Summed directly over out-of-subspace entries: subtracting two O(1)
     # norms would hide anything below the float cancellation floor ~1e-8.
     # The sum of squared real and imaginary parts is exact, so it does not
-    # depend on how or in which order the entries are stored.
-    if isinstance(state, PureState):
-        table = _ic_spread_table(topo) | _sector_mask(topo, phase)
-        amp = state.amplitudes
-        saved = amp[table].copy()
-        amp[table] = 0.0
-        parts = amp.view(np.float64)
-        parts = parts[parts != 0]
-        amp[table] = saved
-    else:
-        parts = state.values[_logical_positions(state, topo, phase) < 0].view(np.float64)
+    # depend on the order the entries are stored in.
+    parts = state.values[_logical_positions(state, topo, phase) < 0].view(np.float64)
     return math.fsum((parts * parts).tolist())
 
 
-def well_formed_residual(state: State, topo: DeviceTopology):
+def well_formed_residual(state: SparseState, topo: DeviceTopology):
     """Out-of-subspace weight against the closer of the two encodings.
 
     Returns (residual, phase, logical_amplitudes).
@@ -384,7 +331,7 @@ def well_formed_residual(state: State, topo: DeviceTopology):
     return residual, phase, c
 
 
-def decode_well_formed(state: State, topo: DeviceTopology, tol: float = DECODE_TOL):
+def decode_well_formed(state: SparseState, topo: DeviceTopology, tol: float = DECODE_TOL):
     """Invert the well-formed encoding.
 
     Returns (logical state, phase label, global phase alpha), where alpha is
@@ -413,16 +360,13 @@ def random_logical_state(n_qubits: int, rng: np.random.Generator) -> LogicalStat
 
 # --- state dump format ----------------------------------------------------------
 
-def state_csv_lines(state: State, threshold: float = 1e-12) -> list[str]:
-    """CSV rows (hex basis index, real, imag) for entries above threshold."""
-    if isinstance(state, PureState):
-        (idx,) = np.nonzero(np.abs(state.amplitudes) > threshold)
-        val = state.amplitudes[idx]
-    else:
-        order = np.argsort(state.indices)
-        idx, val = state.indices[order], state.values[order]
-        keep = np.abs(val) > threshold
-        idx, val = idx[keep], val[keep]
+def state_csv_lines(state: SparseState, threshold: float = 1e-12) -> list[str]:
+    """CSV rows (hex basis index, real, imag) for entries above threshold,
+    in index order."""
+    order = np.argsort(state.indices)
+    idx, val = state.indices[order], state.values[order]
+    keep = np.abs(val) > threshold
+    idx, val = idx[keep], val[keep]
     lines = ["index,real,imag"]
     for i, a in zip(idx.tolist(), val.tolist()):
         lines.append(f"{i:#x},{a.real:.17g},{a.imag:.17g}")

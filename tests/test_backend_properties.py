@@ -2,10 +2,11 @@
 
 * Baseline N=4 (17 qubits), every class: sparse and dense class pulses
   against a per-entry dictionary rotation written out below, which shares
-  no package code, and against the dense backend driven site by site
+  no package code, and against an unpruned state driven site by site
   through `apply_controlled_rotation`, which never sees the per-class masks.
-  Both backends run the same kernel, so the site-by-site reference checks
-  storage and the class-mask bookkeeping; the dictionary checks the kernel.
+  Both backends are the same support storage and kernel, so the
+  site-by-site reference checks the class-mask bookkeeping; the dictionary
+  checks the kernel.
 * Variant classes (34 qubits, too large for dense): sparse class pulses
   against the same dictionary rotation.
 * Compiled N=6 circuits: the sparse support never exceeds 2^N at a macro
@@ -47,6 +48,7 @@ from conveyorqc.state import (
     l2_distance,
     random_logical_state,
     rotation_matrix,
+    to_dense,
     to_sparse,
 )
 from conveyorqc.topology import build_conveyor, build_variant
@@ -87,7 +89,7 @@ def _start_state(seed, well_formed, size):
     idx, amp = _random_support(TOPO4.n_sites, rng, size)
     dense = np.zeros(1 << TOPO4.n_sites, dtype=np.complex128)
     dense[idx] = amp
-    return PureState(TOPO4.n_sites, dense)
+    return to_sparse(PureState(TOPO4.n_sites, dense), 0.0)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -100,10 +102,11 @@ def _start_state(seed, well_formed, size):
 def test_sparse_matches_site_by_site_dense(seed, well_formed, size, schedule):
     reference = _start_state(seed, well_formed, size)
     dense = reference.copy()
-    sparse = to_sparse(reference)
+    sparse = to_sparse(to_dense(reference))
     sparse.prune_tolerance = 0.0
-    (nonzero,) = np.nonzero(reference.amplitudes)
-    expected = dict(zip(nonzero.tolist(), reference.amplitudes[nonzero].tolist()))
+    start = to_dense(reference).amplitudes
+    (nonzero,) = np.nonzero(start)
+    expected = dict(zip(nonzero.tolist(), start[nonzero].tolist()))
     for target, (theta, axis) in schedule:
         pulse = GlobalPulse(target, theta, axis)
         apply_global_pulse(sparse, TOPO4, pulse)
@@ -116,8 +119,9 @@ def test_sparse_matches_site_by_site_dense(seed, well_formed, size, schedule):
     assert l2_distance(sparse, reference) <= 1e-12
     assert l2_distance(dense, reference) <= 1e-12
     assert _dict_distance(dict(sparse.amplitudes), expected) <= 1e-12
-    (nonzero,) = np.nonzero(dense.amplitudes)
-    assert _dict_distance(dict(zip(nonzero.tolist(), dense.amplitudes[nonzero].tolist())), expected) <= 1e-12
+    final = to_dense(dense).amplitudes
+    (nonzero,) = np.nonzero(final)
+    assert _dict_distance(dict(zip(nonzero.tolist(), final[nonzero].tolist())), expected) <= 1e-12
 
 
 def _dict_rotate(amps: dict, site: int, controls, r) -> dict:

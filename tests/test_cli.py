@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from conveyorqc.state import (
     decode_well_formed,
     random_logical_state,
     state_csv_lines,
+    to_dense,
+    to_sparse,
 )
 from conveyorqc.topology import build_conveyor, load, to_json_dict
 
@@ -29,7 +32,7 @@ def read_state_csv(path, n_qubits):
     for line in open(path).read().splitlines()[1:]:
         idx, re, im = line.split(",")
         amp[int(idx, 16)] = float(re) + 1j * float(im)
-    return PureState(n_qubits, amp)
+    return to_sparse(PureState(n_qubits, amp), 0.0)
 
 
 def test_topology_command(tmp_path, capsys):
@@ -80,7 +83,7 @@ def test_run_exchange_on_logical_state(tmp_path, capsys):
     psi = random_logical_state(4, np.random.default_rng(5))
     psi_file = tmp_path / "psi.csv"
     psi_file.write_text(
-        "\n".join(state_csv_lines(PureState(4, psi.amplitudes))) + "\n"
+        "\n".join(state_csv_lines(to_sparse(PureState(4, psi.amplitudes), 0.0))) + "\n"
     )
     sched = tmp_path / "exc.txt"
     sched.write_text("MACRO EXC\n")
@@ -120,8 +123,8 @@ def test_run_empty_schedule_echoes_input(tmp_path, capsys):
         capsys, "run", "--topology", str(topo_file), "--schedule", str(sched), "--out", str(out)
     )
     assert code == 0
-    state = read_state_csv(out, 17)
-    assert state.amplitudes[0] == 1.0 and np.count_nonzero(state.amplitudes) == 1
+    amp = to_dense(read_state_csv(out, 17)).amplitudes
+    assert amp[0] == 1.0 and np.count_nonzero(amp) == 1
 
 
 def test_compile_and_verify(tmp_path, capsys):
@@ -255,6 +258,47 @@ def test_compile_names_the_bad_circuit_line(tmp_path, capsys):
         capsys, "compile", "--circuit", str(circuit), "--n", "4", "--out", str(tmp_path / "s.txt")
     )
     assert code == 2 and report["status"] == "error" and report["error"].startswith("line 2: ")
+
+
+def test_compile_names_the_gate_that_cannot_be_lowered(tmp_path, capsys):
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("X q=1\nR q=1 theta=1 axis=1,1,0\n")
+    code, report = run_cli(
+        capsys, "compile", "--circuit", str(circuit), "--n", "4", "--out", str(tmp_path / "s.txt")
+    )
+    assert code == 2 and report["status"] == "error" and "gate 2 (R)" in report["error"]
+
+
+def _traced_peak_mib(capsys, *argv):
+    tracemalloc.start()
+    try:
+        code, report = run_cli(capsys, *argv)
+        return code, report, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_backend_at_n6_allocates_no_state_vector(tmp_path, capsys):
+    # 25 sites: a 2^25 amplitude vector alone would be 512 MiB.
+    circ = tmp_path / "circ.txt"
+    circ.write_text("H q=1\nCNOT a=1 b=4\nTOFFOLI a=2 b=5 c=3\n")
+    code, report, peak = _traced_peak_mib(
+        capsys, "verify", "--circuit", str(circ), "--n", "6", "--trials", "1", "--backend", "dense"
+    )
+    assert code == 0 and report["min_fidelity"] >= 1 - 1e-8
+    assert peak < 64, f"verify traced peak {peak:.1f} MiB"
+
+    sched, topo_file, psi_file = tmp_path / "sched.txt", tmp_path / "topo.json", tmp_path / "psi.csv"
+    run_cli(capsys, "compile", "--circuit", str(circ), "--n", "6", "--out", str(sched))
+    run_cli(capsys, "topology", "--n", "6", "--out", str(topo_file))
+    psi = random_logical_state(6, np.random.default_rng(6))
+    psi_file.write_text("\n".join(state_csv_lines(to_sparse(PureState(6, psi.amplitudes), 0.0))) + "\n")
+    code, report, peak = _traced_peak_mib(
+        capsys, "run", "--topology", str(topo_file), "--schedule", str(sched), "--initial-state", str(psi_file),
+        "--backend", "dense", "--out", str(tmp_path / "state.csv"),
+    )
+    assert code == 0 and report["residual"] < 1e-9
+    assert peak < 64, f"run traced peak {peak:.1f} MiB"
 
 
 def _run_on_topology_doc(tmp_path, capsys, doc):

@@ -48,6 +48,7 @@ from conveyorqc.state import (
     l2_distance,
     norm,
     random_logical_state,
+    to_dense,
     to_sparse,
 )
 from conveyorqc.topology import build_conveyor, build_variant, load, save
@@ -90,10 +91,10 @@ def test_ccz_pulse_phases_on_encoded_branches():
     for k in range(8):
         bits = ((k >> 0) & 1, (k >> 1) & 1, (k >> 2) & 1, 0)
         st = encode_well_formed(basis_logical(4, bits), PhaseLabel.FP, topo)
-        before = st.amplitudes.copy()
+        before = to_dense(st).amplitudes
         apply_global_pulse(st, topo, pulse)
         want = -1.0 if bits[:3] == (0, 0, 0) else 1.0
-        assert np.max(np.abs(st.amplitudes - want * before)) < 1e-12
+        assert np.max(np.abs(to_dense(st).amplitudes - want * before)) < 1e-12
 
 
 def test_sector_pulse_examples():
@@ -101,11 +102,11 @@ def test_sector_pulse_examples():
     topo = build_conveyor(4)
     a1, b2, a3 = topo.sectors[1]  # S_2 is paramagnetic in FP
     st = encode_well_formed(basis_logical(4, (0, 0, 0, 0)), PhaseLabel.FP, topo)
-    before = st.amplitudes.copy()
+    before = to_dense(st).amplitudes
     # a pi pulse on regular A sites leaves a paramagnetic sector alone, but
     # excites the A sites of ferromagnetic sectors
     apply_global_pulse(st, topo, GlobalPulse(TargetClass.A_REGULAR, math.pi, X_AXIS))
-    (nz,) = np.nonzero(np.abs(st.amplitudes) > 1e-13)
+    (nz,) = np.nonzero(np.abs(to_dense(st).amplitudes) > 1e-13)
     new_index = int(nz[0])
     old_index = int(np.argmax(np.abs(before)))
     assert not (new_index >> a1) & 1 and not (new_index >> a3) & 1  # S_2 untouched
@@ -115,7 +116,7 @@ def test_sector_pulse_examples():
     st2 = encode_well_formed(basis_logical(4, (0, 0, 0, 0)), PhaseLabel.FP, topo)
     apply_global_pulse(st2, topo, GlobalPulse(TargetClass.B_ALL, math.pi, X_AXIS))
     # S_2 center must have flipped from e to g
-    (nz2,) = np.nonzero(np.abs(st2.amplitudes) > 1e-13)
+    (nz2,) = np.nonzero(np.abs(to_dense(st2).amplitudes) > 1e-13)
     assert not (int(nz2[0]) >> b2) & 1
 
 
@@ -139,9 +140,10 @@ def test_exchange_branch_tables_prefixes(k):
     for step in range(1, 9):
         apply_global_pulse(st, topo, pulses[step - 1])
         index, phase = expected_after_prefix(k[0], k[1], step)
-        want = np.zeros_like(st.amplitudes)
+        amp = to_dense(st).amplitudes
+        want = np.zeros_like(amp)
         want[index] = phase
-        assert np.max(np.abs(st.amplitudes - want)) < 1e-12
+        assert np.max(np.abs(amp - want)) < 1e-12
 
 
 def test_paramagnetic_track_returns_to_ferro_with_seven_flips():
@@ -156,7 +158,7 @@ def test_link_swap_with_eleven_flips():
     index, phase = expected_after_prefix(0, 1, 8)
     assert (index >> 0) & 1 == 1 and (index >> 4) & 1 == 0  # contents swapped
     assert phase == QUARTER_TURN[(11 + 11 + 14) % 4]
-    assert abs(st.amplitudes[index] - phase) < 1e-12
+    assert abs(to_dense(st).amplitudes[index] - phase) < 1e-12
 
 
 @pytest.mark.parametrize("phase", [PhaseLabel.FP, PhaseLabel.PF])
@@ -239,20 +241,20 @@ def test_ccz_branch_table_and_axis_independence():
         for k in range(8):
             bits = ((k >> 0) & 1, (k >> 1) & 1, (k >> 2) & 1, 0)
             st = encode_well_formed(basis_logical(4, bits), PhaseLabel.FP, topo)
-            before = st.amplitudes.copy()
+            before = to_dense(st).amplitudes
             apply_schedule(st, topo, seq_ccz(axis))
             want = -1.0 if bits[:3] == (0, 0, 0) else 1.0
-            assert np.max(np.abs(st.amplitudes - want * before)) < 1e-12
+            assert np.max(np.abs(to_dense(st).amplitudes - want * before)) < 1e-12
 
 
 def test_ccz_twice_is_identity():
     topo = build_conveyor(4)
     psi = random_logical_state(4, np.random.default_rng(15))
     st = encode_well_formed(psi, PhaseLabel.FP, topo)
-    before = st.amplitudes.copy()
+    before = to_dense(st).amplitudes
     apply_schedule(st, topo, seq_ccz())
     apply_schedule(st, topo, seq_ccz())
-    assert np.max(np.abs(st.amplitudes - before)) < 1e-12
+    assert np.max(np.abs(to_dense(st).amplitudes - before)) < 1e-12
 
 
 def test_toffoli_sequence():
@@ -267,7 +269,7 @@ def test_toffoli_sequence():
         psi = basis_logical(4, bits)
         st = encode_well_formed(psi, PhaseLabel.FP, topo)
         apply_schedule(st, topo, seq_toffoli())
-        raw = st.amplitudes[_wf_table(topo, PhaseLabel.FP)]
+        raw = to_dense(st).amplitudes[_wf_table(topo, PhaseLabel.FP)]
         expected = simulate_logical(circ, psi)
         ip = np.vdot(expected.amplitudes, raw)
         overlaps.append(ip)
@@ -295,7 +297,7 @@ def test_toffoli_common_phase_on_superpositions():
         psi = random_logical_state(4, rng)
         st = encode_well_formed(psi, PhaseLabel.FP, topo)
         apply_schedule(st, topo, seq_toffoli())
-        raw = LogicalStateVector(4, st.amplitudes[_wf_table(topo, PhaseLabel.FP)])
+        raw = LogicalStateVector(4, to_dense(st).amplitudes[_wf_table(topo, PhaseLabel.FP)])
         expected = simulate_logical(circ, psi)
         ip = np.vdot(expected.amplitudes, raw.amplitudes)
         assert abs(abs(ip) - 1) < 1e-10
@@ -316,12 +318,12 @@ def test_single_qubit_at_q2():
     st = encode_well_formed(psi, PhaseLabel.FP, topo)
     apply_schedule(st, topo, seq_single_qubit_at_Q2(math.pi, X_AXIS))
     flipped = encode_well_formed(basis_logical(4, (0, 1, 0, 0)), PhaseLabel.FP, topo)
-    assert np.max(np.abs(st.amplitudes - (-1j) * flipped.amplitudes)) < 1e-12
+    assert np.max(np.abs(to_dense(st).amplitudes - (-1j) * to_dense(flipped).amplitudes)) < 1e-12
 
     st = encode_well_formed(psi, PhaseLabel.FP, topo)
-    before = st.amplitudes.copy()
+    before = to_dense(st).amplitudes
     apply_schedule(st, topo, seq_single_qubit_at_Q2(0.0, X_AXIS))
-    assert np.array_equal(st.amplitudes, before)
+    assert np.array_equal(to_dense(st).amplitudes, before)
 
     rng = np.random.default_rng(17)
     axis = rng.normal(size=3)
@@ -357,9 +359,9 @@ def test_apply_schedule_identity_and_inverse():
     topo = build_conveyor(4)
     psi = random_logical_state(4, np.random.default_rng(18))
     st = encode_well_formed(psi, PhaseLabel.FP, topo)
-    before = st.amplitudes.copy()
+    before = to_dense(st).amplitudes
     apply_schedule(st, topo, PulseSchedule())
-    assert np.array_equal(st.amplitudes, before)
+    assert np.array_equal(to_dense(st).amplitudes, before)
 
     fwd = [
         GlobalPulse(TargetClass.A_REGULAR, math.pi, X_AXIS),
@@ -368,7 +370,7 @@ def test_apply_schedule_identity_and_inverse():
     ]
     back = [GlobalPulse(p.target, -p.theta, p.axis) for p in reversed(fwd)]
     apply_schedule(st, topo, PulseSchedule(fwd + back))
-    assert np.max(np.abs(st.amplitudes - before)) < 1e-10
+    assert np.max(np.abs(to_dense(st).amplitudes - before)) < 1e-10
 
 
 def test_pulse_unitarity_random():
@@ -376,7 +378,7 @@ def test_pulse_unitarity_random():
     rng = np.random.default_rng(19)
     amp = rng.normal(size=1 << 17) + 1j * rng.normal(size=1 << 17)
     amp /= np.linalg.norm(amp)
-    st = PureState(17, amp.astype(complex))
+    st = to_sparse(PureState(17, amp.astype(complex)), 0.0)
     classes = [TargetClass.A_REGULAR, TargetClass.B_REGULAR, TargetClass.B_CROSSED, TargetClass.A_CROSSED]
     for _ in range(8):
         axis = rng.normal(size=3)
@@ -401,7 +403,7 @@ def test_per_site_order_independence():
     random.Random(4).shuffle(sites)
     for site in sites:
         apply_controlled_rotation(shuffled, site, topo.neighbor_map[site], theta, axis)
-    assert np.max(np.abs(ref.amplitudes - shuffled.amplitudes)) < 1e-12
+    assert np.max(np.abs(to_dense(ref).amplitudes - to_dense(shuffled).amplitudes)) < 1e-12
 
 
 def test_backend_equivalence_generic_schedule():
@@ -563,8 +565,8 @@ def _pulse_by_pulse(state, topo, schedule):
 
 @pytest.mark.parametrize("seed", range(2))
 def test_dense_schedule_matches_pulse_by_pulse_on_compiled_circuits(seed):
-    # The dense state is lowered to its support once per schedule; the
-    # arithmetic per pulse is unchanged, so the result must agree bit for bit.
+    # apply_schedule runs the same per-pulse kernel on an unpruned support,
+    # so the result must agree bit for bit.
     topo = build_conveyor(4)
     rng = np.random.default_rng(40 + seed)
     gates = []
@@ -577,7 +579,7 @@ def test_dense_schedule_matches_pulse_by_pulse_on_compiled_circuits(seed):
     whole = encode_well_formed(psi, PhaseLabel.FP, topo)
     apply_schedule(whole, topo, schedule)
     stepped = _pulse_by_pulse(encode_well_formed(psi, PhaseLabel.FP, topo), topo, schedule)
-    assert np.array_equal(whole.amplitudes, stepped.amplitudes)
+    assert np.array_equal(to_dense(whole).amplitudes, to_dense(stepped).amplitudes)
 
 
 def test_dense_schedule_matches_pulse_by_pulse_on_full_support():
@@ -592,10 +594,10 @@ def test_dense_schedule_matches_pulse_by_pulse_on_full_support():
             for _ in range(4)
         ]
     )
-    whole = PureState(17, amp.copy())
+    whole = to_sparse(PureState(17, amp.copy()), 0.0)
     apply_schedule(whole, topo, schedule)
-    stepped = _pulse_by_pulse(PureState(17, amp.copy()), topo, schedule)
-    assert np.array_equal(whole.amplitudes, stepped.amplitudes)
+    stepped = _pulse_by_pulse(to_sparse(PureState(17, amp.copy()), 0.0), topo, schedule)
+    assert np.array_equal(to_dense(whole).amplitudes, to_dense(stepped).amplitudes)
 
 
 def test_dense_schedule_that_raises_keeps_the_pulses_before_it():
@@ -607,12 +609,12 @@ def test_dense_schedule_that_raises_keeps_the_pulses_before_it():
     bad = PulseSchedule([first, GlobalPulse(TargetClass.C_REGULAR, math.pi, X_AXIS), first])
     with pytest.raises(ValueError, match="empty"):
         apply_schedule(st, topo, bad)
-    assert np.array_equal(st.amplitudes, expected.amplitudes)
+    assert np.array_equal(to_dense(st).amplitudes, to_dense(expected).amplitudes)
 
 
 def test_to_sparse_at_zero_tolerance_keeps_exactly_the_nonzero_entries():
     topo = build_conveyor(4)
-    st = encode_well_formed(random_logical_state(4, np.random.default_rng(43)), PhaseLabel.FP, topo)
+    st = to_dense(encode_well_formed(random_logical_state(4, np.random.default_rng(43)), PhaseLabel.FP, topo))
     st.amplitudes[7] = 1e-300  # nonzero, however small
     lowered = to_sparse(st, 0.0)
     assert np.array_equal(lowered.indices, np.flatnonzero(st.amplitudes))

@@ -32,9 +32,12 @@ from conveyorqc.oracle import compare_up_to_global_phase, simulate_logical
 from conveyorqc.pulses import X_AXIS, apply_global_pulse, apply_schedule
 from conveyorqc.state import (
     PhaseLabel,
+    PureState,
     decode_well_formed,
     encode_well_formed,
     random_logical_state,
+    to_dense,
+    to_sparse,
     well_formed_residual,
 )
 from conveyorqc.topology import build_conveyor
@@ -134,11 +137,11 @@ def test_boundary_residuals_match_per_pulse_loop():
     sched = compile_circuit(circ, topo).schedule
     psi = random_logical_state(4, np.random.default_rng(6))
     # a little weight outside the subspace, so the residuals are not all zero
-    fast = encode_well_formed(psi, PhaseLabel.FP, topo)
-    fast.amplitudes[0] = 1e-4
-    fast.amplitudes /= np.linalg.norm(fast.amplitudes)
-    slow = encode_well_formed(psi, PhaseLabel.FP, topo)
-    slow.amplitudes[:] = fast.amplitudes
+    amp = to_dense(encode_well_formed(psi, PhaseLabel.FP, topo)).amplitudes
+    amp[0] = 1e-4
+    amp /= np.linalg.norm(amp)
+    fast = to_sparse(PureState(topo.n_sites, amp), 0.0)
+    slow = fast.copy()
 
     residuals = apply_with_boundary_residuals(fast, topo, sched)
     bounds = macro_boundaries(sched)
@@ -149,7 +152,7 @@ def test_boundary_residuals_match_per_pulse_loop():
             expected.append(well_formed_residual(slow, topo)[0])
     assert np.array_equal(residuals, expected)
     assert min(residuals) > 0
-    assert np.array_equal(fast.amplitudes, slow.amplitudes)
+    assert np.array_equal(to_dense(fast).amplitudes, to_dense(slow).amplitudes)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])

@@ -8,6 +8,7 @@ from conveyorqc.state import (
     NotWellFormedError,
     PhaseLabel,
     PureState,
+    SparseState,
     all_ground,
     apply_controlled_rotation,
     decode_well_formed,
@@ -29,9 +30,9 @@ X = (1.0, 0.0, 0.0)
 
 def test_all_ground():
     st = all_ground(2)
-    assert np.allclose(st.amplitudes, [1, 0, 0, 0])
+    assert np.allclose(to_dense(st).amplitudes, [1, 0, 0, 0])
     st17 = all_ground(17)
-    assert st17.amplitudes[0] == 1 and norm(st17) == 1.0
+    assert to_dense(st17).amplitudes[0] == 1 and norm(st17) == 1.0
     sp = all_ground(3, backend="sparse")
     assert sp.amplitudes == {0: 1.0}
     with pytest.raises(ValueError):
@@ -51,15 +52,11 @@ def test_backend_size_limits():
         all_ground(64, backend="sparse")
 
 
-def as_dense(state):
-    return state if isinstance(state, PureState) else to_dense(state)
-
-
 @pytest.mark.parametrize("backend", ["dense", "sparse"])
 def test_controlled_rotation_pi_flip(backend):
     st = all_ground(3, backend=backend)
     apply_controlled_rotation(st, 0, {1, 2}, math.pi, X)
-    assert abs(as_dense(st).amplitudes[1] - (-1j)) < 1e-15  # flipped, factor -i
+    assert abs(to_dense(st).amplitudes[1] - (-1j)) < 1e-15  # flipped, factor -i
     assert abs(norm(st) - 1) < 1e-12
 
 
@@ -67,15 +64,15 @@ def test_controlled_rotation_pi_flip(backend):
 def test_controlled_rotation_blocked(backend):
     st = all_ground(3, backend=backend)
     apply_controlled_rotation(st, 1, (), math.pi, X)  # excite the control
-    before = as_dense(st).amplitudes.copy()
+    before = to_dense(st).amplitudes
     apply_controlled_rotation(st, 0, {1}, 1.234, (0.0, 1.0, 0.0))
-    assert np.allclose(as_dense(st).amplitudes, before, atol=1e-15)
+    assert np.allclose(to_dense(st).amplitudes, before, atol=1e-15)
 
 
 def test_controlled_rotation_full_turn_sign():
     st = all_ground(2)
     apply_controlled_rotation(st, 0, {1}, 2 * math.pi, (0.0, 0.0, 1.0))
-    assert abs(st.amplitudes[0] + 1) < 1e-12
+    assert abs(to_dense(st).amplitudes[0] + 1) < 1e-12
 
 
 def test_controlled_rotation_errors():
@@ -104,7 +101,7 @@ def test_encode_ground_logical_sets_alternating_sector_centers():
     st = encode_well_formed(psi, PhaseLabel.FP, topo)
     want = _encoded_index(topo, (0, 0, 0, 0), PhaseLabel.FP)
     assert want == (1 << 6) | (1 << 14)  # centers of S_2 and S_4
-    assert st.amplitudes[want] == 1.0 and norm(st) == 1.0
+    assert to_dense(st).amplitudes[want] == 1.0 and norm(st) == 1.0
 
 
 def test_encode_basis_and_linearity():
@@ -112,16 +109,32 @@ def test_encode_basis_and_linearity():
     e1 = np.zeros(16, dtype=complex)
     e1[1] = 1.0  # logical q1 excited
     st = encode_well_formed(LogicalStateVector(4, e1), PhaseLabel.FP, topo)
-    assert st.amplitudes[_encoded_index(topo, (1, 0, 0, 0), PhaseLabel.FP)] == 1.0
+    assert to_dense(st).amplitudes[_encoded_index(topo, (1, 0, 0, 0), PhaseLabel.FP)] == 1.0
 
     plus = np.zeros(16, dtype=complex)
     plus[0] = plus[1] = 1 / math.sqrt(2)
     st = encode_well_formed(LogicalStateVector(4, plus), PhaseLabel.FP, topo)
     i0 = _encoded_index(topo, (0, 0, 0, 0), PhaseLabel.FP)
     i1 = _encoded_index(topo, (1, 0, 0, 0), PhaseLabel.FP)
-    assert abs(st.amplitudes[i0] - 1 / math.sqrt(2)) < 1e-15
-    assert abs(st.amplitudes[i1] - 1 / math.sqrt(2)) < 1e-15
+    amp = to_dense(st).amplitudes
+    assert abs(amp[i0] - 1 / math.sqrt(2)) < 1e-15
+    assert abs(amp[i1] - 1 / math.sqrt(2)) < 1e-15
     assert i0 ^ i1 == 1 << topo.ic_sites[0]
+
+
+def test_dense_backend_never_prunes():
+    topo = build_conveyor(4)
+    amp = np.zeros(16, dtype=complex)
+    amp[0], amp[3] = 1.0, 1e-13
+    psi = LogicalStateVector(4, amp)
+    dense = encode_well_formed(psi, PhaseLabel.FP, topo, backend="dense")
+    sparse = encode_well_formed(psi, PhaseLabel.FP, topo, backend="sparse")
+    assert len(dense.amplitudes) == 2 and len(sparse.amplitudes) == 1
+    # a small-angle split leaves branches far below the sparse tolerance
+    for st in (dense, sparse):
+        apply_controlled_rotation(st, topo.ic_sites[2], (), 1e-13, X)
+    assert len(dense.amplitudes) == 4 and len(sparse.amplitudes) == 1
+    assert all_ground(2, "dense").prune_tolerance == 0.0
 
 
 def test_encode_dimension_mismatch():
@@ -148,7 +161,7 @@ def test_decode_reports_global_phase():
     topo = build_conveyor(4)
     psi = random_logical_state(4, np.random.default_rng(3))
     st = encode_well_formed(psi, PhaseLabel.PF, topo)
-    st.amplitudes *= np.exp(1j * math.pi / 3)
+    st.values *= np.exp(1j * math.pi / 3)
     out, phase, alpha = decode_well_formed(st, topo)
     assert phase is PhaseLabel.PF
     assert abs(alpha - math.pi / 3) < 1e-12
@@ -160,9 +173,10 @@ def test_decode_rejects_all_ground():
     # encodings by direct overlap sums; the sector patterns never match.
     topo = build_conveyor(4)
     st = all_ground(topo.n_sites)
+    amp = to_dense(st).amplitudes
     for phase in PhaseLabel:
         overlap = sum(
-            abs(st.amplitudes[_encoded_index(topo, tuple((k >> j) & 1 for j in range(4)), phase)]) ** 2
+            abs(amp[_encoded_index(topo, tuple((k >> j) & 1 for j in range(4)), phase)]) ** 2
             for k in range(16)
         )
         assert overlap == 0.0
@@ -177,15 +191,24 @@ def test_fidelity_properties():
     rng = np.random.default_rng(0)
     amp = rng.normal(size=8) + 1j * rng.normal(size=8)
     amp /= np.linalg.norm(amp)
-    s = PureState(3, amp.astype(complex))
+    s = to_sparse(PureState(3, amp.astype(complex)), 0.0)
     assert abs(fidelity(s, s) - 1) < 1e-12
-    rotated = PureState(3, amp * np.exp(0.7j))
+    rotated = to_sparse(PureState(3, amp * np.exp(0.7j)), 0.0)
     assert abs(fidelity(s, rotated) - 1) < 1e-12
     g = all_ground(1)
-    e = PureState(1, np.array([0, 1], dtype=complex))
+    e = to_sparse(PureState(1, np.array([0, 1], dtype=complex)), 0.0)
     assert fidelity(g, e) == 0.0
     with pytest.raises(ValueError):
         fidelity(g, s)
+
+
+def test_l2_distance_counts_entries_on_either_support():
+    a = SparseState(3, np.array([0, 5]), np.array([0.6, 0.8j]), prune_tolerance=0.0)
+    b = SparseState(3, np.array([5, 2]), np.array([0.8j, 1.0]), prune_tolerance=0.0)
+    want = np.linalg.norm(to_dense(a).amplitudes - to_dense(b).amplitudes)
+    assert abs(want - math.sqrt(1.36)) < 1e-15
+    assert abs(l2_distance(a, b) - want) < 1e-15 and abs(l2_distance(b, a) - want) < 1e-15
+    assert l2_distance(a, a) == 0.0
 
 
 def test_sparse_dense_round_trip():
@@ -193,9 +216,9 @@ def test_sparse_dense_round_trip():
     amp = rng.normal(size=32) + 1j * rng.normal(size=32)
     amp /= np.linalg.norm(amp)
     s = PureState(5, amp.astype(complex))
-    assert l2_distance(to_dense(to_sparse(s)), s) < 1e-12
+    assert np.linalg.norm(to_dense(to_sparse(s)).amplitudes - s.amplitudes) < 1e-12
 
-    basis = all_ground(5)
+    basis = to_dense(all_ground(5))
     assert len(to_sparse(basis).amplitudes) == 1
 
     tiny = PureState(2, np.array([1.0, 1e-13, 0, 0], dtype=complex))
@@ -206,8 +229,8 @@ def test_norm_preserved_by_rotations():
     rng = np.random.default_rng(9)
     amp = rng.normal(size=64) + 1j * rng.normal(size=64)
     amp /= np.linalg.norm(amp)
-    dense = PureState(6, amp.astype(complex))
-    sparse = to_sparse(dense)
+    start = PureState(6, amp.astype(complex))
+    dense, sparse = to_sparse(start, 0.0), to_sparse(start)
     for k in range(20):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
@@ -226,7 +249,7 @@ def test_state_csv_format(tmp_path):
     st.amplitudes[16] = 0.6
     st.amplitudes[3] = 0.8j
     st.amplitudes[7] = 1e-14  # below threshold
-    lines = state_csv_lines(st)
+    lines = state_csv_lines(to_sparse(st, 0.0))
     assert lines[0] == "index,real,imag"
     assert lines[1].startswith("0x3,") and lines[2].startswith("0x10,")
     assert len(lines) == 3
