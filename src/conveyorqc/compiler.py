@@ -11,11 +11,11 @@ placement and the final placement is reported so a verifier can un-permute.
 A logical SWAP is therefore a placement relabel and emits no pulse.
 
 Routing is pulse-cost aware.  One Dijkstra search over (tracked positions,
-phase) weighs each move by the pulses it emits at that phase: 8 for an
-exchange, 10 for its inverse, and hundreds to thousands for a fixed-site
-swap, whose Q_2 round trips depend on the phase.  A Toffoli may end with its
-controls on either of Q_1, Q_3; a CNOT tracks only its two operands and
-flips whichever qubit routing leaves on the other control site.
+phase) weighs each move, and a CNOT's gate body, by the pulses `_Emitter`
+emits for it at that phase, measured once on a scratch routing state.  A
+Toffoli may end with its controls on either of Q_1, Q_3; a CNOT tracks only
+its two operands and flips whichever qubit routing leaves on the other
+control site.
 """
 
 from __future__ import annotations
@@ -84,35 +84,35 @@ class RoutingState:
 
     placement: list[int]
     phase: PhaseLabel
-    pulse_count: int = 0
 
 
 def initial_routing(n_qubits: int) -> RoutingState:
     return RoutingState(list(range(1, n_qubits + 1)), PhaseLabel.FP)
 
 
-def step_position(pos: int, phase: PhaseLabel, n: int) -> int:
-    """Where the occupant of `pos` lands after one exchange sequence."""
-    clockwise = (pos % 2 == 1) == (phase is PhaseLabel.FP)
-    return pos % n + 1 if clockwise else (pos - 2) % n + 1
+def _travels_forward(pos: int, phase: PhaseLabel) -> bool:
+    """Whether an exchange from `phase` moves the occupant of `pos` forward
+    (pos -> pos + 1): odd positions do from FP, even ones from PF."""
+    return (pos % 2 == 1) == (phase is PhaseLabel.FP)
 
 
 def permutation_after(ell: int, start_phase: PhaseLabel, n: int) -> tuple[int, ...]:
     """Positions after `ell` exchanges: entry j-1 is where origin position j
-    ends up.  Odd origins travel clockwise from FP, even origins the other
-    way; both directions reverse from PF."""
-    out = []
-    for j in range(1, n + 1):
-        forward = (j % 2 == 1) == (start_phase is PhaseLabel.FP)
-        out.append((j - 1 + ell) % n + 1 if forward else (j - 1 - ell) % n + 1)
-    return tuple(out)
+    ends up.  Each occupant keeps its direction, since the phase and the
+    parity of its position both toggle at every step."""
+    return tuple(
+        (j - 1 + ell) % n + 1 if _travels_forward(j, start_phase) else (j - 1 - ell) % n + 1
+        for j in range(1, n + 1)
+    )
 
 
 def route_to_Q2(j: int, phase: PhaseLabel, n: int) -> int:
-    """Smallest number of exchanges that brings position j onto Q_2: its
-    occupant keeps one direction around the loop (see `permutation_after`)."""
-    forward = (j % 2 == 1) == (phase is PhaseLabel.FP)
-    return (2 - j) % n if forward else (j - 2) % n
+    """Smallest number of exchanges that brings position j onto Q_2."""
+    return (2 - j) % n if _travels_forward(j, phase) else (j - 2) % n
+
+
+MOVES = ("EXC", "EXC_INV", "SWAP_Q1Q2", "SWAP_Q2Q3", "SWAP_Q1Q3")
+_SWAP_SITES = {"SWAP_Q1Q2": (1, 2), "SWAP_Q2Q3": (2, 3), "SWAP_Q1Q3": (1, 3)}
 
 
 class _Emitter:
@@ -165,7 +165,7 @@ class _Emitter:
     def cnot_towards_q2(self, control_pos: int) -> None:
         """CNOT with control at Q_1 or Q_3 and target at Q_2, via two Toffolis
         and two bit flips of the spare control-site occupant."""
-        spare = 3 if control_pos == 1 else 1
+        spare = 4 - control_pos
         self.toffoli()
         self.pulse_at(spare, math.pi, X_AXIS)
         self.toffoli()
@@ -182,22 +182,17 @@ class _Emitter:
 
     def swap_positions(self, x: int, y: int) -> None:
         """Physically exchange the occupants of two of Q_1..Q_3 and relabel
-        the placement, so the tracked logical content is unchanged."""
+        the placement, so the tracked logical content is unchanged.  The phase
+        is kept: Q_2 trades with Q_1 or Q_3 through three CNOTs, and Q_1 with
+        Q_3 through Q_2."""
         pair = (min(x, y), max(x, y))
-        if pair == (1, 2):
-            self.cnot_towards_q2(1)
-            self.cnot_from_q2(1)
-            self.cnot_towards_q2(1)
-            self._track("SWAP_Q1Q2")
-        elif pair == (2, 3):
-            self.cnot_towards_q2(3)
-            self.cnot_from_q2(3)
-            self.cnot_towards_q2(3)
-            self._track("SWAP_Q2Q3")
-        elif pair == (1, 3):
-            self.swap_positions(1, 2)
-            self.swap_positions(2, 3)
-            self.swap_positions(1, 2)
+        if pair == (1, 3):
+            for step in ((1, 2), (2, 3), (1, 2)):
+                self.swap_positions(*step)
+        elif pair in ((1, 2), (2, 3)):
+            for cnot in (self.cnot_towards_q2, self.cnot_from_q2, self.cnot_towards_q2):
+                cnot(x + y - 2)  # the site other than Q_2
+            self._track(f"SWAP_Q{pair[0]}Q{pair[1]}")
         else:
             raise ValueError(f"fixed-site swaps exist only among Q_1..Q_3, got {pair}")
 
@@ -206,62 +201,41 @@ class _Emitter:
             self.exc()
         elif move == "EXC_INV":
             self.exc_inv()
-        elif move.startswith("SWAP_Q"):
-            x, y = int(move[6]), int(move[8])
-            self.swap_positions(x, y)
+        elif move in _SWAP_SITES:
+            self.swap_positions(*_SWAP_SITES[move])
         else:
             raise ValueError(f"unknown routing move {move!r}")
 
     def finish(self) -> PulseSchedule:
-        self.rt.pulse_count += len(self.sched.pulses)
         return self.sched
 
 
 # --- routing search ---------------------------------------------------------------
 
-MOVES = ("EXC", "EXC_INV", "SWAP_Q1Q2", "SWAP_Q2Q3", "SWAP_Q1Q3")
-_SWAP_SITES = {"SWAP_Q1Q2": (1, 2), "SWAP_Q2Q3": (2, 3), "SWAP_Q1Q3": (1, 3)}
-
-
 def apply_move(positions: tuple[int, ...], phase: PhaseLabel, move: str, n: int):
-    """Track a move's effect on a tuple of positions; returns (positions, phase)."""
-    if move == "EXC":
-        return tuple(step_position(p, phase, n) for p in positions), phase.flipped()
-    if move == "EXC_INV":
-        flipped = phase.flipped()
-        return tuple(step_position(p, flipped, n) for p in positions), flipped
+    """Track a move's effect on a tuple of positions; returns (positions, phase).
+    EXC_INV undoes the exchange that would have led to `phase`."""
+    if move in ("EXC", "EXC_INV"):
+        table = permutation_after(1, phase if move == "EXC" else phase.flipped(), n)
+        return tuple(table[p - 1] for p in positions), phase.flipped()
     x, y = _SWAP_SITES[move]
     return tuple(y if p == x else x if p == y else p for p in positions), phase
 
 
-_EXC_PULSES = len(MACROS["EXC"])
-_EXC_INV_PULSES = len(MACROS["EXC_INV"])
-_TOFFOLI_PULSES = len(MACROS["TOFFOLI"])
-
-
-def _pulse_at_cost(pos: int, phase: PhaseLabel, n: int) -> int:
-    return route_to_Q2(pos, phase, n) * (_EXC_PULSES + _EXC_INV_PULSES) + 1
-
-
-def _flip_cost(spare: int, phase: PhaseLabel, n: int) -> int:
-    """Two Toffolis and two bit flips of the occupant of `spare`."""
-    return 2 * _TOFFOLI_PULSES + 2 * _pulse_at_cost(spare, phase, n)
-
-
 @lru_cache(maxsize=None)
-def move_cost(move: str, phase: PhaseLabel, n: int) -> int:
-    """Pulses `_Emitter.do_move(move)` emits at `phase` on an n-position loop.
+def _emitted_length(step, phase: PhaseLabel, n: int, *args) -> int:
+    """Pulses the `_Emitter` method `step` emits for `args` at `phase` on an
+    n-position loop, measured on a scratch routing state.  Emission depends
+    on positions and phase only, never on which logical qubit sits where."""
+    em = _Emitter(RoutingState(list(range(1, n + 1)), phase))
+    step(em, *args)
+    return len(em.sched)
 
-    A fixed-site swap keeps the phase throughout: it is three CNOTs between
-    Q_2 and Q_1 or Q_3 (each two Toffolis and two flips of the spare), with
-    two Hadamards on each end of the middle one."""
-    if move == "EXC":
-        return _EXC_PULSES
-    if move == "EXC_INV":
-        return _EXC_INV_PULSES
-    swap12 = 3 * _flip_cost(3, phase, n) + 2 * _pulse_at_cost(1, phase, n) + 2
-    swap23 = 3 * _flip_cost(1, phase, n) + 2 * _pulse_at_cost(3, phase, n) + 2
-    return {"SWAP_Q1Q2": swap12, "SWAP_Q2Q3": swap23, "SWAP_Q1Q3": 2 * swap12 + swap23}[move]
+
+def move_cost(move: str, phase: PhaseLabel, n: int) -> int:
+    """Pulses `_Emitter.do_move(move)` emits at `phase` on an n-position loop,
+    measured by running it, not derived by hand."""
+    return _emitted_length(_Emitter.do_move, phase, n, move)
 
 
 @lru_cache(maxsize=None)
@@ -319,16 +293,17 @@ def bfs_route(targets: tuple[int, int, int], routing: RoutingState) -> list[str]
 
 
 def _cnot_end(positions, phase: PhaseLabel, n: int):
-    """(control, target) at (Q_1 or Q_3, Q_2); the spare's flips cost extra."""
+    """(control, target) at (Q_1 or Q_3, Q_2); costs what `cnot_towards_q2` emits."""
     control, target = positions
     if target != 2 or control not in (1, 3):
         return None
-    return _flip_cost(4 - control, phase, n)
+    return _emitted_length(_Emitter.cnot_towards_q2, phase, n, control)
 
 
 def _toffoli_end(positions, phase: PhaseLabel, n: int):
-    """The controls are symmetric: (Q_1, Q_3, Q_2) and (Q_3, Q_1, Q_2) both run."""
-    return 0 if positions in ((1, 3, 2), (3, 1, 2)) else None
+    """The controls are symmetric: (Q_1, Q_3, Q_2) and (Q_3, Q_1, Q_2) both run
+    the one Toffoli."""
+    return _emitted_length(_Emitter.toffoli, phase, n) if positions in ((1, 3, 2), (3, 1, 2)) else None
 
 
 # --- gate macros ------------------------------------------------------------------
@@ -339,21 +314,23 @@ def macro_single_qubit(j: int, theta: float, axis, routing: RoutingState) -> Pul
     return em.finish()
 
 
+def _routed(operands: tuple[int, ...], routing: RoutingState, end_cost) -> _Emitter:
+    """An emitter that has already replayed the cheapest route of `operands`
+    to a finish that `end_cost` accepts."""
+    em = _Emitter(routing)
+    for move in _cheapest_route(operands, routing, move_cost, end_cost):
+        em.do_move(move)
+    return em
+
+
 def macro_cnot(a: int, c: int, routing: RoutingState) -> PulseSchedule:
     """CNOT control a -> target c: route c onto Q_2 and a onto Q_1 or Q_3,
     then Toffoli, flip the spare on the other control site, Toffoli, flip it
     back.  The spare is whichever qubit routing leaves there."""
     if a == c:
         raise ValueError("CNOT needs two distinct qubits")
-    moves = _cheapest_route((a, c), routing, move_cost, _cnot_end)
-    em = _Emitter(routing)
-    for move in moves:
-        em.do_move(move)
-    spare = 4 - routing.placement[a - 1]
-    em.toffoli()
-    em.pulse_at(spare, math.pi, X_AXIS)
-    em.toffoli()
-    em.pulse_at(spare, math.pi, X_AXIS)
+    em = _routed((a, c), routing, _cnot_end)
+    em.cnot_towards_q2(routing.placement[a - 1])
     return em.finish()
 
 
@@ -371,10 +348,7 @@ def macro_toffoli(a: int, b: int, c: int, routing: RoutingState) -> PulseSchedul
     then one Toffoli."""
     if len({a, b, c}) != 3:
         raise ValueError("TOFFOLI needs three distinct qubits")
-    moves = _cheapest_route((a, b, c), routing, move_cost, _toffoli_end)
-    em = _Emitter(routing)
-    for move in moves:
-        em.do_move(move)
+    em = _routed((a, b, c), routing, _toffoli_end)
     em.toffoli()
     return em.finish()
 

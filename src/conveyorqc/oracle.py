@@ -117,8 +117,11 @@ def simulate_logical(circuit: LogicalCircuit, psi_in: LogicalStateVector) -> Log
             f"state has {psi_in.n_qubits} qubits but circuit expects {circuit.n_qubits}"
         )
     psi = psi_in.amplitudes.astype(complex).copy()
-    for gate in circuit.gates:
-        psi = _apply_gate(gate, psi, circuit.n_qubits)
+    for i, gate in enumerate(circuit.gates, start=1):
+        try:
+            psi = _apply_gate(gate, psi, circuit.n_qubits)
+        except ValueError as e:
+            raise ValueError(f"gate {i} ({gate.kind}): {e}") from None
     return LogicalStateVector(circuit.n_qubits, psi)
 
 

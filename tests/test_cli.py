@@ -251,6 +251,13 @@ def test_blockade_sweep_rejects_non_finite_eta(tmp_path, capsys, eta):
     assert "eta must be positive and finite" in report["error"]
 
 
+def test_blockade_sweep_rejects_eta_past_integrator_accuracy(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code, report = run_cli(capsys, "blockade-sweep", "--etas", "4,1e12", "--out", str(out))
+    assert code == 2 and report["status"] == "error"
+    assert report["error"].startswith("eta=1000000000000.0: ") and "not unitary" in report["error"]
+
+
 def test_compile_names_the_bad_circuit_line(tmp_path, capsys):
     circuit = tmp_path / "c.txt"
     circuit.write_text("X q=1\nX q=abc\n")
@@ -374,7 +381,12 @@ def test_verify_rejects_malformed_numbers(tmp_path, capsys, flag, value, message
 
 
 @pytest.mark.parametrize(
-    "gate, message", [("R q=1 theta=nan axis=1,0,0", "line 2: "), ("R q=1 theta=0.5 axis=2,0,0", "unit length")]
+    "gate, message",
+    [
+        ("R q=1 theta=nan axis=1,0,0", "line 2: "),
+        ("R q=1 theta=0.5 axis=2,0,0", "unit length"),
+        ("R q=1 theta=0.5 axis=2,0,0", "gate 2 (R)"),
+    ],
 )
 def test_verify_rejects_bad_rotation_gates(tmp_path, capsys, gate, message):
     circ = tmp_path / "circ.txt"

@@ -181,6 +181,9 @@ def test_evolve_validates_input():
         evolve(np.ones(8), frag, _model())  # not unit norm
     with pytest.raises(ValueError):
         evolve(np.eye(16)[0], frag, _model())  # wrong dimension
+    # 9e12 drive periods: the powered RK4 propagator has lost unitarity
+    with pytest.raises(ValueError, match="not unitary .* after 9000000000000 drive periods"):
+        evolve(np.eye(8)[0], frag, pi_pulse_model(frag, 1e12))
 
 
 @pytest.mark.parametrize("frame", [LAB, ROTATING_WAVE])

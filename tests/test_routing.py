@@ -15,7 +15,10 @@ from conveyorqc.compiler import (
     LogicalCircuit,
     LogicalGate,
     RoutingState,
+    _cheapest_route,
+    _cnot_end,
     _Emitter,
+    _toffoli_end,
     apply_move,
     apply_with_boundary_residuals,
     bfs_route,
@@ -60,6 +63,39 @@ def test_move_cost_matches_emitted_schedule(n):
             em = _Emitter(RoutingState(list(range(1, n + 1)), phase))
             em.do_move(move)
             assert move_cost(move, phase, n) == len(em.sched), (move, phase)
+
+
+def _route_then_gate_cost(routing, moves, end_cost, end_positions):
+    """Summed `move_cost` along `moves`, tracking the phase, plus the gate's
+    end cost at the positions the route reaches."""
+    n, phase, total = len(routing.placement), routing.phase, 0
+    for move in moves:
+        total += move_cost(move, phase, n)
+        _, phase = apply_move((), phase, move, n)
+    return total + end_cost(end_positions, phase, n)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_route_costs_plus_end_cost_match_emitted_gate(n):
+    """The search's price of a route and gate body is what the macro emits."""
+    rng = np.random.default_rng(20 + n)
+    triples = list(itertools.permutations(range(1, n + 1), 3))
+    for _ in range(3):
+        for phase in PhaseLabel:
+            routing = RoutingState([int(p) + 1 for p in rng.permutation(n)], phase)
+            for a, c in itertools.permutations(range(1, n + 1), 2):
+                moves = _cheapest_route((a, c), routing, move_cost, _cnot_end)
+                after = _copy(routing)
+                sched = macro_cnot(a, c, after)
+                ends = (after.placement[a - 1], after.placement[c - 1])
+                assert _route_then_gate_cost(routing, moves, _cnot_end, ends) == len(sched), (a, c)
+            for k in rng.choice(len(triples), size=6, replace=False):
+                triple = triples[k]
+                moves = _cheapest_route(triple, routing, move_cost, _toffoli_end)
+                after = _copy(routing)
+                sched = macro_toffoli(*triple, after)
+                ends = tuple(after.placement[q - 1] for q in triple)
+                assert _route_then_gate_cost(routing, moves, _toffoli_end, ends) == len(sched), triple
 
 
 def _fixed_spare_cost(operands, routing, cnot):
@@ -177,7 +213,7 @@ def test_macro_swap_relabels_placement():
             want = list(before.placement)
             want[a - 1], want[b - 1] = want[b - 1], want[a - 1]
             assert routing.placement == want
-            assert routing.phase is before.phase and routing.pulse_count == 0
+            assert routing.phase is before.phase
         with pytest.raises(ValueError):
             macro_swap(2, 2, _random_routing(n, rng))
 
