@@ -146,10 +146,17 @@ def cmd_verify(args) -> int:
         with open(args.schedule) as f:
             schedule, meta = pulses.parse_schedule(f.read())
         inputs[args.schedule] = _digest(args.schedule)
+        placement = identity = tuple(range(1, args.n + 1))
         if "final_placement" in meta:
-            placement = tuple(int(p) for p in meta["final_placement"].split(","))
-        else:
-            placement = tuple(range(1, args.n + 1))
+            text = meta["final_placement"]
+            try:
+                placement = tuple(int(p) for p in text.split(","))
+            except ValueError:
+                placement = ()
+            if tuple(sorted(placement)) != identity:
+                raise ValueError(
+                    f"schedule file {args.schedule}: final_placement {text!r} is not a permutation of 1..{args.n}"
+                )
     else:
         result = compiler.compile_circuit(circuit, topo)
         schedule, placement = result.schedule, result.placement

@@ -39,7 +39,7 @@ from .pulses import (
     Z_AXIS,
     apply_global_pulse,
 )
-from .state import LogicalStateVector, PhaseLabel, SparseState, well_formed_residual
+from .state import LogicalStateVector, PhaseLabel, SparseState, spread_bits, well_formed_residual
 from .topology import BASELINE, DeviceTopology
 
 GATE_ARITY = {"R": 1, "X": 1, "Z": 1, "H": 1, "CNOT": 2, "CZ": 2, "SWAP": 2, "TOFFOLI": 3}
@@ -407,12 +407,8 @@ def compile_circuit(circuit: LogicalCircuit, topo: DeviceTopology) -> CompileRes
 def permute_logical(psi: LogicalStateVector, placement) -> LogicalStateVector:
     """Move logical qubit j onto position placement[j-1] (bit relabeling)."""
     n = psi.n_qubits
-    m = np.arange(1 << n, dtype=np.int64)
-    out_idx = np.zeros_like(m)
-    for j, pos in enumerate(placement, start=1):
-        out_idx |= ((m >> (j - 1)) & 1) << (pos - 1)
     out = np.zeros_like(psi.amplitudes)
-    out[out_idx] = psi.amplitudes
+    out[spread_bits(np.arange(1 << n, dtype=np.int64), [p - 1 for p in placement])] = psi.amplitudes
     return LogicalStateVector(n, out)
 
 

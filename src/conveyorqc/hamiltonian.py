@@ -236,33 +236,21 @@ def resonant_drive_frequency(fragment: Fragment, *, omega_a=OMEGA_A, omega_b=OME
     return bare - 2 * zeta
 
 
-def pi_pulse_model(
-    fragment: Fragment,
-    eta: float,
-    *,
-    zeta: float = ZETA,
-    omega_a: float = OMEGA_A,
-    omega_b: float = OMEGA_B,
-    frame: str = LAB,
-    dt: float | None = None,
-) -> ContinuousModel:
-    """Rectangular pi-pulse at blockade ratio eta = zeta / Omega."""
+def pi_pulse_model(fragment: Fragment, eta: float) -> ContinuousModel:
+    """Rectangular lab-frame pi-pulse at blockade ratio eta = ZETA / Omega."""
     if not (math.isfinite(eta) and eta > 0):
         raise ValueError(f"eta must be positive and finite, got {eta}")
-    omega_rabi = zeta / eta
+    omega_rabi = ZETA / eta
     amp = 2 * omega_rabi if fragment.crossed else omega_rabi
-    omega_drive = resonant_drive_frequency(fragment, omega_a=omega_a, omega_b=omega_b, zeta=zeta)
-    if dt is None:
-        dt = DT_SCALE / max(omega_a, omega_b, omega_drive)
+    omega_drive = resonant_drive_frequency(fragment)
     return ContinuousModel(
-        omega_a=omega_a,
-        omega_b=omega_b,
-        zeta=zeta,
+        omega_a=OMEGA_A,
+        omega_b=OMEGA_B,
+        zeta=ZETA,
         omega_rabi=omega_rabi,
         omega_drive=omega_drive,
         duration=math.pi / amp,
-        dt=dt,
-        frame=frame,
+        dt=DT_SCALE / max(OMEGA_A, OMEGA_B, omega_drive),
     )
 
 
@@ -285,14 +273,14 @@ def blockade_fidelity(fragment: Fragment, model: ContinuousModel) -> dict[str, f
     }
 
 
-def sweep_blockade(etas, fragment_kind: str, *, frame: str = LAB) -> list[dict[str, float]]:
+def sweep_blockade(etas, fragment_kind: str) -> list[dict[str, float]]:
     """One row per eta, in order, duplicates preserved."""
     if fragment_kind not in FRAGMENT_KINDS:
         raise ValueError(f"unknown fragment kind {fragment_kind!r}; expected {sorted(FRAGMENT_KINDS)}")
     fragment = FRAGMENT_KINDS[fragment_kind]
     rows = []
     for eta in etas:
-        model = pi_pulse_model(fragment, eta, frame=frame)
+        model = pi_pulse_model(fragment, eta)
         try:
             record = blockade_fidelity(fragment, model)
         except ValueError as e:

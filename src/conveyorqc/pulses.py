@@ -56,15 +56,15 @@ class GlobalPulse:
     target: TargetClass
     theta: float
     axis: tuple[float, float, float]
+    # R(theta, axis), built once; `rotation_matrix` checks theta and axis.
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nx, ny, nz = self.axis
-        if not math.isfinite(self.theta + nx + ny + nz):  # any NaN or inf makes the sum non-finite
-            raise ValueError(f"pulse theta and axis must be finite, got theta={self.theta}, axis={self.axis}")
-        if abs(math.sqrt(nx * nx + ny * ny + nz * nz) - 1.0) > 1e-12:
-            raise ValueError(f"pulse axis must be unit length, got {self.axis}")
+        matrix = rotation_matrix(self.theta, self.axis)
         if not -2 * math.pi <= self.theta <= 2 * math.pi:
             raise ValueError(f"theta must lie in [-2pi, 2pi], got {self.theta}")
+        matrix.flags.writeable = False  # shared by every schedule holding this pulse
+        object.__setattr__(self, "matrix", matrix)
 
 
 @dataclass
@@ -129,7 +129,7 @@ def apply_global_pulse(state: SparseState, topo: DeviceTopology, pulse: GlobalPu
     tbits, cmasks = class_masks(topo, pulse.target)
     if not len(tbits):
         raise ValueError(f"target class {pulse.target.value} is empty on a {topo.kind} device")
-    rotate_sites(state, tbits, cmasks, rotation_matrix(pulse.theta, pulse.axis))
+    rotate_sites(state, tbits, cmasks, pulse.matrix)
     return state
 
 

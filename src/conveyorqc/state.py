@@ -10,6 +10,11 @@ every nonzero entry (tolerance 0) and refuses more than 26 qubits, the limit
 of a 2^n vector (`to_dense`); "sparse" drops split branches below
 `SPARSE_PRUNE_TOL`.  `PureState` is only the dense snapshot that `to_dense`
 returns and `to_sparse` reads.
+
+The well-formed encoding puts logical bit j on IC site Q_j and sets the
+centers of the paramagnetic sectors.  `spread_bits` is the one map from
+logical to device bits; `well_formed_residual` reads it back in one pass
+over the support.
 """
 
 from __future__ import annotations
@@ -250,12 +255,10 @@ def l2_distance(s1: SparseState, s2: SparseState) -> float:
 
 # --- well-formed encoding ------------------------------------------------------
 
-def _ic_spread_table(topo: DeviceTopology) -> np.ndarray:
-    # physical basis offsets of each logical basis index (IC bits only)
-    n = topo.n_logical
-    m = np.arange(1 << n, dtype=np.int64)
+def spread_bits(m: np.ndarray, sites) -> np.ndarray:
+    """Bit `sites[j]` of each result is bit j of `m`; every other bit is 0."""
     out = np.zeros_like(m)
-    for j, site in enumerate(topo.ic_sites):
+    for j, site in enumerate(sites):
         out |= ((m >> j) & 1) << site
     return out
 
@@ -280,39 +283,11 @@ def encode_well_formed(
         )
     n_phys = topo.n_sites
     _check_size(n_phys, backend)
-    table = _ic_spread_table(topo) | _sector_mask(topo, phase)
     amp = np.asarray(psi.amplitudes, dtype=np.complex128)
     tol = PRUNE_TOLERANCE[backend]
-    keep = np.abs(amp) >= tol if tol else amp != 0
-    return SparseState(n_phys, table[keep], amp[keep], tol)
-
-
-def _logical_positions(state: SparseState, topo: DeviceTopology, phase: PhaseLabel) -> np.ndarray:
-    """Logical basis index of each stored entry; -1 where the entry lies
-    outside the `phase` encoding."""
-    idx = state.indices
-    pos = np.zeros_like(idx)
-    for j, site in enumerate(topo.ic_sites):
-        pos |= ((idx >> site) & 1) << j
-    inside = (idx & ~control_mask(topo.ic_sites)) == _sector_mask(topo, phase)
-    return np.where(inside, pos, -1)
-
-
-def _project_logical(state: SparseState, topo: DeviceTopology, phase: PhaseLabel) -> np.ndarray:
-    pos = _logical_positions(state, topo, phase)
-    inside = pos >= 0
-    c = np.zeros(1 << topo.n_logical, dtype=np.complex128)
-    c[pos[inside]] = state.values[inside]
-    return c
-
-
-def _complement_weight(state: SparseState, topo: DeviceTopology, phase: PhaseLabel) -> float:
-    # Summed directly over out-of-subspace entries: subtracting two O(1)
-    # norms would hide anything below the float cancellation floor ~1e-8.
-    # The sum of squared real and imaginary parts is exact, so it does not
-    # depend on the order the entries are stored in.
-    parts = state.values[_logical_positions(state, topo, phase) < 0].view(np.float64)
-    return math.fsum((parts * parts).tolist())
+    (kept,) = np.nonzero(np.abs(amp) >= tol if tol else amp != 0)
+    indices = spread_bits(kept.astype(np.int64), topo.ic_sites) | _sector_mask(topo, phase)
+    return SparseState(n_phys, indices, amp[kept], tol)
 
 
 def well_formed_residual(state: SparseState, topo: DeviceTopology):
@@ -320,26 +295,38 @@ def well_formed_residual(state: SparseState, topo: DeviceTopology):
 
     Returns (residual, phase, logical_amplitudes).
     """
+    idx = state.indices
+    logical = np.zeros_like(idx)  # the IC bits of each entry, gathered
+    for j, site in enumerate(topo.ic_sites):
+        logical |= ((idx >> site) & 1) << j
+    rest = idx & ~control_mask(topo.ic_sites)
     best = None
     for phase in (PhaseLabel.FP, PhaseLabel.PF):
-        c = _project_logical(state, topo, phase)
+        inside = rest == _sector_mask(topo, phase)
+        c = np.zeros(1 << topo.n_logical, dtype=np.complex128)
+        c[logical[inside]] = state.values[inside]
         weight = float(np.sum(np.abs(c) ** 2))
         if best is None or weight > best[0]:
-            best = (weight, phase, c)
-    _, phase, c = best
-    residual = float(np.sqrt(_complement_weight(state, topo, phase)))
-    return residual, phase, c
+            best = (weight, phase, c, inside)
+    _, phase, c, inside = best
+    # Summed directly over out-of-subspace entries: subtracting two O(1)
+    # norms would hide anything below the float cancellation floor ~1e-8.
+    # The sum of squared real and imaginary parts is exact, so it does not
+    # depend on the order the entries are stored in.
+    parts = state.values[~inside].view(np.float64)
+    return math.sqrt(math.fsum((parts * parts).tolist())), phase, c
 
 
-def decode_well_formed(state: SparseState, topo: DeviceTopology, tol: float = DECODE_TOL):
+def decode_well_formed(state: SparseState, topo: DeviceTopology):
     """Invert the well-formed encoding.
 
     Returns (logical state, phase label, global phase alpha), where alpha is
     read off the largest-magnitude logical component and divided out.
-    Raises NotWellFormedError when the out-of-subspace weight exceeds `tol`.
+    Raises NotWellFormedError when the out-of-subspace weight exceeds
+    DECODE_TOL.
     """
     residual, phase, c = well_formed_residual(state, topo)
-    if residual > tol:
+    if residual > DECODE_TOL:
         raise NotWellFormedError(residual)
     k_star = int(np.argmax(np.abs(c)))
     alpha = float(np.angle(c[k_star]))
@@ -360,12 +347,12 @@ def random_logical_state(n_qubits: int, rng: np.random.Generator) -> LogicalStat
 
 # --- state dump format ----------------------------------------------------------
 
-def state_csv_lines(state: SparseState, threshold: float = 1e-12) -> list[str]:
-    """CSV rows (hex basis index, real, imag) for entries above threshold,
-    in index order."""
+def state_csv_lines(state: SparseState) -> list[str]:
+    """CSV rows (hex basis index, real, imag) for entries above
+    SPARSE_PRUNE_TOL in magnitude, in index order."""
     order = np.argsort(state.indices)
     idx, val = state.indices[order], state.values[order]
-    keep = np.abs(val) > threshold
+    keep = np.abs(val) > SPARSE_PRUNE_TOL
     idx, val = idx[keep], val[keep]
     lines = ["index,real,imag"]
     for i, a in zip(idx.tolist(), val.tolist()):

@@ -3,7 +3,9 @@
 The baseline device is a closed loop of 4N alternating A/B qubits plus one
 in-loop A-crossed qubit ZZ-coupled to the first three information-carrying
 (IC) sites.  Variants replace the in-loop qubit with two two-site couplers.
-All site, sector and species indexing conventions live here.
+All site, sector and species indexing conventions live here.  A device
+stores only its graph (N, kind, sites, edges); `DeviceTopology` derives the
+index convention from N and kind, once, on first use.
 
 Index convention (0-based site ids):
   - IC site Q_j sits at loop index 4*(j-1), for j = 1..N.
@@ -65,17 +67,43 @@ FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class DeviceTopology:
-    """Immutable device graph; safe to share across threads."""
+    """Immutable device graph; safe to share across threads.  It stores what
+    a device file holds; the index convention is derived from N and kind."""
 
     n_logical: int
     kind: str
     sites: tuple[Site, ...]
     edges: tuple[tuple[int, int], ...]  # normalized (i < j), sorted
-    ic_sites: tuple[int, ...]  # Q_1..Q_N
-    sectors: tuple[tuple[int, int, int], ...]  # S_1..S_N as (A, B, A)
-    central_site: int | None  # baseline only
-    init_targets: tuple[int, ...]  # sector centers flipped by the init line
-    coupler_pairs: tuple[tuple[int, tuple[int, int]], ...] = ()
+
+    @cached_property
+    def ic_sites(self) -> tuple[int, ...]:
+        """Q_1..Q_N."""
+        return tuple(range(0, 4 * self.n_logical, 4))
+
+    @cached_property
+    def sectors(self) -> tuple[tuple[int, int, int], ...]:
+        """S_1..S_N as (A, B, A)."""
+        return tuple((q + 1, q + 2, q + 3) for q in self.ic_sites)
+
+    @cached_property
+    def init_targets(self) -> tuple[int, ...]:
+        """Sector centers flipped by the init line: those of S_2, S_4, ..."""
+        return tuple(center for _, center, _ in self.sectors[1::2])
+
+    @property
+    def central_site(self) -> int | None:
+        """The in-loop qubit; baseline only."""
+        return 4 * self.n_logical if self.kind == BASELINE else None
+
+    @cached_property
+    def coupler_pairs(self) -> tuple[tuple[int, tuple[int, int]], ...]:
+        """(coupler id, its two IC ids) per variant coupler; none on the baseline."""
+        if self.kind == BASELINE:
+            return ()
+        ic = self.ic_sites
+        return tuple(
+            (4 * self.n_logical + k, (ic[qa - 1], ic[qb - 1])) for k, (qa, qb) in enumerate(COUPLER_IC_PAIRS)
+        )
 
     @property
     def n_sites(self) -> int:
@@ -121,13 +149,6 @@ def _loop_sites(n_logical: int) -> list[Site]:
     return sites
 
 
-def _derived_indexing(n_logical: int):
-    ic = tuple(4 * (j - 1) for j in range(1, n_logical + 1))
-    sectors = tuple((4 * j - 3, 4 * j - 2, 4 * j - 1) for j in range(1, n_logical + 1))
-    init = tuple(sectors[j - 1][1] for j in range(2, n_logical + 1, 2))
-    return ic, sectors, init
-
-
 def build_conveyor(n_logical: int) -> DeviceTopology:
     """Build the baseline loop: 4N+1 sites, one in-loop A-crossed qubit."""
     if n_logical < 4 or n_logical % 2 != 0:
@@ -144,17 +165,7 @@ def build_conveyor(n_logical: int) -> DeviceTopology:
     )
     edges = [(i, (i + 1) % loop_len) for i in range(loop_len)]
     edges += [(central, 0), (central, 4), (central, 8)]
-    ic, sectors, init = _derived_indexing(n_logical)
-    return DeviceTopology(
-        n_logical=n_logical,
-        kind=BASELINE,
-        sites=tuple(sites),
-        edges=_normalize_edges(edges),
-        ic_sites=ic,
-        sectors=sectors,
-        central_site=central,
-        init_targets=init,
-    )
+    return DeviceTopology(n_logical, BASELINE, tuple(sites), _normalize_edges(edges))
 
 
 _VARIANT_SPECIES = {
@@ -178,34 +189,20 @@ def build_variant(kind: str, n_logical: int) -> DeviceTopology:
             f"variant designs need even n_logical >= 8 (couplers reach Q_4 and Q_8), got {n_logical}"
         )
     loop_len = 4 * n_logical
-    sites = _loop_sites(n_logical)
-    ic, sectors, init = _derived_indexing(n_logical)
+    # The index convention needs only N and kind, so a graph-less device yields it.
+    pairs = DeviceTopology(n_logical, kind, (), ()).coupler_pairs
     # Loop triangle flags differ from baseline: the coupler endpoints gain a
     # third neighbor instead of Q_1..Q_3.
-    endpoint_ids = {ic[q - 1] for pair in COUPLER_IC_PAIRS for q in pair}
+    endpoint_ids = {q for _, ends in pairs for q in ends}
     sites = [
         Site(s.index, s.species, triangle_corrected=s.index in endpoint_ids, on_loop=True)
-        for s in sites
+        for s in _loop_sites(n_logical)
     ]
-    species_pair = _VARIANT_SPECIES[kind]
-    coupler_ids = (loop_len, loop_len + 1)
-    coupler_pairs = []
     edges = [(i, (i + 1) % loop_len) for i in range(loop_len)]
-    for cid, coupler_species, (qa, qb) in zip(coupler_ids, species_pair, COUPLER_IC_PAIRS):
+    for (cid, ends), coupler_species in zip(pairs, _VARIANT_SPECIES[kind]):
         sites.append(Site(cid, coupler_species, triangle_corrected=False, on_loop=False))
-        edges += [(cid, ic[qa - 1]), (cid, ic[qb - 1])]
-        coupler_pairs.append((cid, (ic[qa - 1], ic[qb - 1])))
-    return DeviceTopology(
-        n_logical=n_logical,
-        kind=kind,
-        sites=tuple(sites),
-        edges=_normalize_edges(edges),
-        ic_sites=ic,
-        sectors=sectors,
-        central_site=None,
-        init_targets=init,
-        coupler_pairs=tuple(coupler_pairs),
-    )
+        edges += [(cid, q) for q in ends]
+    return DeviceTopology(n_logical, kind, tuple(sites), _normalize_edges(edges))
 
 
 def neighbors(topo: DeviceTopology, site: int) -> frozenset[int]:
@@ -215,16 +212,16 @@ def neighbors(topo: DeviceTopology, site: int) -> frozenset[int]:
 
 
 def validate(topo: DeviceTopology) -> list[str]:
-    """Check every structural invariant; returns a list of violations (empty = ok)."""
+    """Check every structural invariant of the stored graph against the
+    derived index convention; returns a list of violations (empty = ok)."""
     bad: list[str] = []
-    n = topo.n_logical
-    loop_len = 4 * n
     by_id = {s.index: s for s in topo.sites}
-    expected_count = loop_len + (1 if topo.kind == BASELINE else 2)
+    expected_count = 4 * topo.n_logical + (1 if topo.kind == BASELINE else 2)
     if topo.n_sites != expected_count:
         bad.append(f"site count {topo.n_sites} != {expected_count} for kind {topo.kind}")
     if set(by_id) != set(range(topo.n_sites)):
         bad.append("site ids are not 0..n_sites-1")
+    if bad:
         return bad  # structure too broken for the remaining checks
 
     nbrs = topo.neighbor_map
@@ -278,13 +275,6 @@ def validate(topo: DeviceTopology) -> list[str]:
         got = tuple(by_id[i].species.family for i in (a1, b2, a3))
         if got != want:
             bad.append(f"sector S_{j} species pattern {tuple(f.value for f in got)} != (A, B, A)")
-
-    covered = set(topo.ic_sites) | {i for sec in topo.sectors for i in sec}
-    if covered != set(range(loop_len)):
-        bad.append("IC sites and sectors do not partition the loop")
-    want_init = tuple(topo.sectors[j - 1][1] for j in range(2, n + 1, 2))
-    if topo.init_targets != want_init:
-        bad.append(f"init_targets {topo.init_targets} != even-sector centers {want_init}")
     return bad
 
 
@@ -314,7 +304,7 @@ def from_json_dict(doc: dict) -> DeviceTopology:
 
     Sites and edges are taken verbatim from the document so that invalid
     hand-built graphs survive the round trip and can be reported by
-    ``validate``; index-convention fields are derived from N and kind.
+    ``validate``.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"topology document must be a JSON object, got {type(doc).__name__}")
@@ -346,25 +336,7 @@ def _from_json_fields(doc: dict) -> DeviceTopology:
         for s in doc["sites"]
     )
     edges = _normalize_edges(tuple((int(i), int(j)) for i, j in doc["edges"]))
-    ic, sectors, init = _derived_indexing(n)
-    if kind == BASELINE:
-        central, pairs = 4 * n, ()
-    else:
-        central = None
-        pairs = tuple(
-            (4 * n + k, (ic[qa - 1], ic[qb - 1])) for k, (qa, qb) in enumerate(COUPLER_IC_PAIRS)
-        )
-    return DeviceTopology(
-        n_logical=n,
-        kind=kind,
-        sites=sites,
-        edges=edges,
-        ic_sites=ic,
-        sectors=sectors,
-        central_site=central,
-        init_targets=init,
-        coupler_pairs=pairs,
-    )
+    return DeviceTopology(n, kind, sites, edges)
 
 
 def save(topo: DeviceTopology, path) -> None:

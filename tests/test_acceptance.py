@@ -41,7 +41,7 @@ from conveyorqc.state import (
     random_logical_state,
     to_dense,
 )
-from conveyorqc.state import _ic_spread_table, _sector_mask
+from conveyorqc.state import _sector_mask, spread_bits
 from conveyorqc.topology import build_conveyor
 
 TOPO4 = build_conveyor(4)
@@ -65,7 +65,7 @@ def basis_logical(n, bits):
 
 
 def raw_logical(state, topo, phase):
-    table = _ic_spread_table(topo) | _sector_mask(topo, phase)
+    table = spread_bits(np.arange(1 << topo.n_logical, dtype=np.int64), topo.ic_sites) | _sector_mask(topo, phase)
     return np.array([state.amplitudes.get(int(i), 0j) for i in table])
 
 

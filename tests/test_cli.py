@@ -215,6 +215,21 @@ def test_verify_flags_corrupted_schedule(tmp_path, capsys):
     assert report["min_fidelity"] < 1 - 1e-8
 
 
+@pytest.mark.parametrize("trailer", ["1,2,3,9", "1,2", "1,1,3,4", "0,2,3,4", "1,2,3,4,5"])
+def test_verify_rejects_final_placement_that_is_not_a_permutation(tmp_path, capsys, trailer):
+    circ = tmp_path / "circ.txt"
+    circ.write_text("X q=1\nCNOT a=1 b=2\n")
+    sched = tmp_path / "sched.txt"
+    run_cli(capsys, "compile", "--circuit", str(circ), "--n", "4", "--out", str(sched))
+    lines = [ln for ln in sched.read_text().splitlines() if not ln.startswith("# final_placement:")]
+    sched.write_text("\n".join(lines + [f"# final_placement: {trailer}"]) + "\n")
+    code, report = run_cli(
+        capsys, "verify", "--circuit", str(circ), "--n", "4", "--schedule", str(sched), "--trials", "1"
+    )
+    assert code == 2 and report["status"] == "error"
+    assert str(sched) in report["error"] and "final_placement" in report["error"]
+
+
 def test_verify_empty_circuit(tmp_path, capsys):
     circ = tmp_path / "empty.txt"
     circ.write_text("")
@@ -323,6 +338,20 @@ def test_run_rejects_topology_with_missing_key(tmp_path, capsys):
     del doc["edges"]
     code, report = _run_on_topology_doc(tmp_path, capsys, doc)
     assert code == 2 and report["status"] == "error" and "'edges'" in report["error"]
+
+
+@pytest.mark.parametrize("n_logical", [6, 10**9])
+def test_run_rejects_topology_whose_n_disagrees_with_its_sites(tmp_path, capsys, n_logical):
+    doc = to_json_dict(build_conveyor(4))
+    doc["n_logical"] = n_logical
+    tracemalloc.start()
+    try:
+        code, report = _run_on_topology_doc(tmp_path, capsys, doc)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and report["status"] == "error" and "site count 17 != " in report["error"]
+    assert peak < 16, f"run traced peak {peak:.1f} MiB"  # nothing sized by n_logical is built
 
 
 def test_run_rejects_variant_topology_below_eight_qubits(tmp_path, capsys):

@@ -307,9 +307,9 @@ def test_toffoli_common_phase_on_superpositions():
 
 
 def _wf_table(topo, phase):
-    from conveyorqc.state import _ic_spread_table, _sector_mask
+    from conveyorqc.state import _sector_mask, spread_bits
 
-    return _ic_spread_table(topo) | _sector_mask(topo, phase)
+    return spread_bits(np.arange(1 << topo.n_logical, dtype=np.int64), topo.ic_sites) | _sector_mask(topo, phase)
 
 
 def test_single_qubit_at_q2():
