@@ -20,6 +20,7 @@ from .state import (
     NotWellFormedError,
     PhaseLabel,
     all_ground,
+    check_size,
     decode_well_formed,
     encode_well_formed,
     load_logical_csv,
@@ -83,6 +84,7 @@ def _load_topology(path: str):
 def cmd_run(args) -> int:
     t0 = time.monotonic()
     topo = _load_topology(args.topology)
+    check_size(topo.n_sites, args.backend)  # before any 2^N logical vector
     with open(args.schedule) as f:
         schedule, _meta = pulses.parse_schedule(f.read())
     inputs = {args.topology: _digest(args.topology), args.schedule: _digest(args.schedule)}
@@ -139,6 +141,7 @@ def cmd_verify(args) -> int:
     if args.trials < 0:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
     topo = topology.build_conveyor(args.n)
+    check_size(topo.n_sites, args.backend)  # before any 2^N logical vector
     with open(args.circuit) as f:
         circuit = compiler.parse_circuit(f.read(), args.n)
     inputs = {args.circuit: _digest(args.circuit)}

@@ -30,14 +30,13 @@ import numpy as np
 
 from .pulses import (
     HADAMARD_AXIS,
-    MACROS,
     GlobalPulse,
-    MacroSpan,
     PulseSchedule,
     TargetClass,
     X_AXIS,
     Z_AXIS,
     apply_global_pulse,
+    step_pulses,
 )
 from .state import LogicalStateVector, PhaseLabel, SparseState, spread_bits, well_formed_residual
 from .topology import BASELINE, DeviceTopology
@@ -123,42 +122,28 @@ class _Emitter:
         self.n = len(routing.placement)
         self.sched = PulseSchedule()
 
-    def _mark(self, name: str) -> None:
-        """Emit the named fixed macro as one annotated span."""
-        start = len(self.sched.pulses)
-        self.sched.pulses.extend(MACROS[name])
-        self.sched.annotations.append(MacroSpan(name, start, len(self.sched.pulses)))
-
     def _track(self, move: str) -> None:
         """Move the tracked placement and phase as `move` moves occupants."""
         table, self.rt.phase = _move_table(move, self.rt.phase, self.n)
         self.rt.placement = [table[p] for p in self.rt.placement]
 
-    def exc(self) -> None:
-        self._mark("EXC")
-        self._track("EXC")
-
-    def exc_inv(self) -> None:
-        self._mark("EXC_INV")
-        self._track("EXC_INV")
-
     def q2_pulse(self, theta: float, axis) -> None:
         # R(theta + 4pi) = R(theta); the remainder leaves [-2pi, 2pi] unchanged.
         theta = math.remainder(theta, 4 * math.pi)
-        self.sched.pulses.append(GlobalPulse(TargetClass.B_CROSSED, theta, tuple(axis)))
+        self.sched.append(GlobalPulse(TargetClass.B_CROSSED, theta, tuple(axis)))
 
     def toffoli(self) -> None:
-        self._mark("TOFFOLI")
+        self.sched.append("TOFFOLI")
 
     def pulse_at(self, pos: int, theta: float, axis) -> None:
         """Rotate the occupant of IC position `pos`: rotate it into Q_2,
         pulse, rotate back.  Placement and phase are restored."""
         ell = route_to_Q2(pos, self.rt.phase, self.n)
         for _ in range(ell):
-            self.exc()
+            self.do_move("EXC")
         self.q2_pulse(theta, axis)
         for _ in range(ell):
-            self.exc_inv()
+            self.do_move("EXC_INV")
 
     # -- fixed-position two-qubit building blocks (positions 1, 2, 3) --
 
@@ -197,10 +182,9 @@ class _Emitter:
             raise ValueError(f"fixed-site swaps exist only among Q_1..Q_3, got {pair}")
 
     def do_move(self, move: str) -> None:
-        if move == "EXC":
-            self.exc()
-        elif move == "EXC_INV":
-            self.exc_inv()
+        if move in ("EXC", "EXC_INV"):
+            self.sched.append(move)
+            self._track(move)
         elif move in _SWAP_SITES:
             self.swap_positions(*_SWAP_SITES[move])
         else:
@@ -399,7 +383,7 @@ def compile_circuit(circuit: LogicalCircuit, topo: DeviceTopology) -> CompileRes
             total.extend(_lower_gate(gate, routing))
         except ValueError as e:
             raise ValueError(f"gate {i} ({gate.kind}): {e}") from None
-    return CompileResult(total, tuple(routing.placement), routing.phase, len(total.pulses))
+    return CompileResult(total, tuple(routing.placement), routing.phase, len(total))
 
 
 # --- verification helpers ------------------------------------------------------------
@@ -414,28 +398,20 @@ def permute_logical(psi: LogicalStateVector, placement) -> LogicalStateVector:
 
 def macro_boundaries(schedule: PulseSchedule) -> list[int]:
     """Pulse counts after which a compiled schedule is back in the well-formed
-    subspace: the end of every annotated span plus every bare pulse."""
-    inside = [False] * len(schedule.pulses)
-    bounds = set()
-    for a in schedule.annotations:
-        for i in range(a.start, a.stop):
-            inside[i] = True
-        bounds.add(a.stop)
-    bounds.update(i + 1 for i, flag in enumerate(inside) if not flag)
-    return sorted(b for b in bounds if 0 < b <= len(schedule.pulses))
+    subspace: the end of every step."""
+    return list(itertools.accumulate(len(step_pulses(step)) for step in schedule.steps))
 
 
 def apply_with_boundary_residuals(
     state: SparseState, topo: DeviceTopology, schedule: PulseSchedule
 ) -> list[float]:
-    """Apply the schedule, measuring the out-of-subspace weight at every macro
-    boundary.  Returns the residuals in order."""
-    bounds = set(macro_boundaries(schedule))
+    """Apply the schedule, measuring the out-of-subspace weight after every
+    step.  Returns the residuals in order."""
     residuals = []
-    for i, pulse in enumerate(schedule.pulses, start=1):
-        apply_global_pulse(state, topo, pulse)
-        if i in bounds:
-            residuals.append(well_formed_residual(state, topo)[0])
+    for step in schedule.steps:
+        for pulse in step_pulses(step):
+            apply_global_pulse(state, topo, pulse)
+        residuals.append(well_formed_residual(state, topo)[0])
     return residuals
 
 

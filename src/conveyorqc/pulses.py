@@ -9,6 +9,8 @@ pulse acts on the whole state at once.
 Named macros built here: the eight-pulse exchange sequence, its ten-pulse
 inverse, the 2pi conditional-phase pulse on the in-loop qubit, the five-pulse
 one-shot Toffoli, single-qubit rotations at Q_2, and the initialization line.
+A schedule holds one list of steps, each a macro name or a bare pulse, and
+the text format writes one line per step.
 """
 
 from __future__ import annotations
@@ -68,30 +70,28 @@ class GlobalPulse:
 
 
 @dataclass
-class MacroSpan:
-    name: str
-    start: int  # pulse index, inclusive
-    stop: int  # exclusive
-
-
-@dataclass
 class PulseSchedule:
-    pulses: list[GlobalPulse] = field(default_factory=list)
-    annotations: list[MacroSpan] = field(default_factory=list)
+    """Steps in order: a name in `MACROS` or a bare pulse.  A compiled
+    schedule is back in the well-formed subspace after every step."""
+
+    steps: list[str | GlobalPulse] = field(default_factory=list)
+
+    @property
+    def pulses(self) -> tuple[GlobalPulse, ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.pulses)
+        return sum(len(step_pulses(step)) for step in self.steps)
 
     def __iter__(self):
-        return iter(self.pulses)
+        for step in self.steps:
+            yield from step_pulses(step)
 
-    def append(self, pulse: GlobalPulse) -> None:
-        self.pulses.append(pulse)
+    def append(self, step: str | GlobalPulse) -> None:
+        self.steps.append(step)
 
     def extend(self, other: "PulseSchedule") -> None:
-        off = len(self.pulses)
-        self.pulses.extend(other.pulses)
-        self.annotations.extend(MacroSpan(a.name, a.start + off, a.stop + off) for a in other.annotations)
+        self.steps.extend(other.steps)
 
 
 def class_sites(topo: DeviceTopology, target: TargetClass) -> tuple[int, ...]:
@@ -135,7 +135,7 @@ def apply_global_pulse(state: SparseState, topo: DeviceTopology, pulse: GlobalPu
 
 def apply_schedule(state: SparseState, topo: DeviceTopology, schedule: PulseSchedule) -> SparseState:
     """Apply the pulses in order; mutates and returns `state`."""
-    for pulse in schedule.pulses:
+    for pulse in schedule:
         apply_global_pulse(state, topo, pulse)
     return state
 
@@ -159,32 +159,33 @@ MACROS = {
 }
 
 
-def _span(name: str, pulses: list[GlobalPulse] | None = None) -> PulseSchedule:
-    pulses = list(MACROS[name] if pulses is None else pulses)
-    return PulseSchedule(pulses, [MacroSpan(name, 0, len(pulses))])
+def step_pulses(step: str | GlobalPulse) -> tuple[GlobalPulse, ...]:
+    """The pulses one schedule step expands to."""
+    return MACROS[step] if isinstance(step, str) else (step,)
 
 
 def seq_exchange() -> PulseSchedule:
     """Eight alternating pulses that swap neighboring IC pairs and toggle the
     sector phases: (A-regular pi-x, then all-B pi-x), four times."""
-    return _span("EXC")
+    return PulseSchedule(["EXC"])
 
 
 def seq_exchange_inverse() -> PulseSchedule:
     """All-B pi-x, the eight exchange pulses, all-B pi-x: acts as the inverse
     of the exchange on well-formed states."""
-    return _span("EXC_INV")
+    return PulseSchedule(["EXC_INV"])
 
 
 def seq_ccz(axis=X_AXIS) -> PulseSchedule:
     """2pi rotation of the in-loop A-crossed qubit: -1 phase exactly when its
     three IC neighbors are all in |g>, for any axis."""
-    return _span("CCZ", [GlobalPulse(TargetClass.A_CROSSED, 2 * math.pi, axis)])
+    pulse = GlobalPulse(TargetClass.A_CROSSED, 2 * math.pi, axis)
+    return PulseSchedule(["CCZ" if (pulse,) == MACROS["CCZ"] else pulse])
 
 
 def seq_toffoli() -> PulseSchedule:
     """One-shot Toffoli with Q_1, Q_3 as controls and Q_2 as target."""
-    return _span("TOFFOLI")
+    return PulseSchedule(["TOFFOLI"])
 
 
 def seq_single_qubit_at_Q2(theta: float, axis) -> PulseSchedule:
@@ -196,7 +197,7 @@ def seq_init(topo: DeviceTopology) -> PulseSchedule:
     the all-|g> logical state (up to a global phase)."""
     if topo.kind != BASELINE:
         raise ValueError("the initialization line exists only on the baseline design")
-    return _span("INIT")
+    return PulseSchedule(["INIT"])
 
 
 # --- schedule text format --------------------------------------------------------
@@ -206,29 +207,21 @@ def _fmt(x: float) -> str:
 
 
 def write_schedule(schedule: PulseSchedule, meta: dict | None = None) -> str:
-    """Render a schedule; spans matching a named macro become MACRO lines."""
-    spans = {a.start: a for a in sorted(schedule.annotations, key=lambda a: a.start)}
+    """Render a schedule: a MACRO line per named step, a PULSE line per bare pulse."""
     lines = []
-    i = 0
-    while i < len(schedule.pulses):
-        span = spans.get(i)
-        if span is not None and span.name in MACROS:
-            canonical = MACROS[span.name]
-            if tuple(schedule.pulses[i : i + len(canonical)]) == canonical:
-                lines.append(f"MACRO {span.name}")
-                i += len(canonical)
-                continue
-        p = schedule.pulses[i]
-        ax = ",".join(_fmt(v) for v in p.axis)
-        lines.append(f"PULSE {p.target.value} theta={_fmt(p.theta)} axis={ax}")
-        i += 1
+    for step in schedule.steps:
+        if isinstance(step, str):
+            lines.append(f"MACRO {step}")
+        else:
+            ax = ",".join(_fmt(v) for v in step.axis)
+            lines.append(f"PULSE {step.target.value} theta={_fmt(step.theta)} axis={ax}")
     for key, value in (meta or {}).items():
         lines.append(f"# {key}: {value}")
     return "\n".join(lines) + "\n"
 
 
 def parse_schedule(text: str) -> tuple[PulseSchedule, dict[str, str]]:
-    """Parse the schedule text format; MACRO lines expand to their pulses.
+    """Parse the schedule text format; a MACRO line becomes one named step.
 
     Trailer comments of the form '# key: value' are collected into the
     returned metadata dict.
@@ -249,7 +242,7 @@ def parse_schedule(text: str) -> tuple[PulseSchedule, dict[str, str]]:
         if fields[0] == "MACRO":
             if len(fields) != 2 or fields[1] not in MACROS:
                 raise ValueError(f"line {line_no}: unknown macro in {line!r}")
-            schedule.extend(_span(fields[1]))
+            schedule.append(fields[1])
             continue
         if fields[0] != "PULSE" or len(fields) != 4:
             raise ValueError(f"line {line_no}: expected 'PULSE <class> theta=... axis=...', got {line!r}")

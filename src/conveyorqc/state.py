@@ -5,11 +5,11 @@ bit value 0 = |g>, 1 = |e>.  Rotations follow R(theta, n) =
 exp(-i (theta/2) n.sigma).  Every state is stored as its support: two
 arrays, basis indices and amplitudes.  A well-formed state spans at most 2^N
 of the 2^(4N+1) device basis states, so the support stays small.  The two
-backends differ only in the prune tolerance and the size limit: "dense" keeps
-every nonzero entry (tolerance 0) and refuses more than 26 qubits, the limit
-of a 2^n vector (`to_dense`); "sparse" drops split branches below
-`SPARSE_PRUNE_TOL`.  `PureState` is only the dense snapshot that `to_dense`
-returns and `to_sparse` reads.
+backends differ only in the prune tolerance: "dense" keeps every nonzero
+entry (tolerance 0); "sparse" drops split branches below `SPARSE_PRUNE_TOL`.
+Either holds at most 63 qubits, the width of an int64 basis index.
+`PureState` is only the dense snapshot that `to_dense` returns (at most 26
+qubits) and `to_sparse` reads.
 
 The well-formed encoding puts logical bit j on IC site Q_j and sets the
 centers of the paramagnetic sectors.  `spread_bits` is the one map from
@@ -30,11 +30,11 @@ from .topology import DeviceTopology
 
 SPARSE_PRUNE_TOL = 1e-12
 DECODE_TOL = 1e-9
-# Largest state each backend can hold.  A dense state must fit the 2^n
-# snapshot of `to_dense` (2^26 complex128 amplitudes are 1 GiB); sparse basis
-# indices are int64.
-MAX_QUBITS = {"dense": 26, "sparse": 63}
-# The backends differ only in this and MAX_QUBITS: dense keeps every entry.
+# Largest state either backend holds: basis indices are int64.
+MAX_QUBITS = 63
+# Largest 2^n snapshot `to_dense` builds: 2^26 complex128 amplitudes are 1 GiB.
+MAX_DENSE_QUBITS = 26
+# The backends differ only in this: dense keeps every entry.
 PRUNE_TOLERANCE = {"dense": 0.0, "sparse": SPARSE_PRUNE_TOL}
 
 
@@ -114,20 +114,18 @@ class LogicalStateVector:
     amplitudes: np.ndarray
 
 
-def _check_size(n_qubits: int, backend: str) -> None:
-    if backend not in MAX_QUBITS:
+def check_size(n_qubits: int, backend: str) -> None:
+    """Refuse an unknown backend or a state wider than an int64 basis index."""
+    if backend not in PRUNE_TOLERANCE:
         raise ValueError(f"unknown backend {backend!r}")
-    if n_qubits > MAX_QUBITS[backend]:
-        raise ValueError(
-            f"{n_qubits} qubits exceed the {backend} backend's limit of {MAX_QUBITS[backend]}"
-            + ("; use the sparse backend" if backend == "dense" else "")
-        )
+    if n_qubits > MAX_QUBITS:
+        raise ValueError(f"{n_qubits} qubits exceed the limit of {MAX_QUBITS}")
 
 
 def all_ground(n_qubits: int, backend: str = "dense") -> SparseState:
     if n_qubits < 1:
         raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-    _check_size(n_qubits, backend)
+    check_size(n_qubits, backend)
     tol = PRUNE_TOLERANCE[backend]
     return SparseState(n_qubits, np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128), tol)
 
@@ -225,7 +223,8 @@ def to_sparse(state: PureState, prune_tolerance: float = SPARSE_PRUNE_TOL) -> Sp
 
 
 def to_dense(state: SparseState) -> PureState:
-    _check_size(state.n_qubits, "dense")
+    if state.n_qubits > MAX_DENSE_QUBITS:
+        raise ValueError(f"{state.n_qubits} qubits exceed the {MAX_DENSE_QUBITS}-qubit limit of a dense snapshot")
     amp = np.zeros(1 << state.n_qubits, dtype=np.complex128)
     amp[state.indices] = state.values
     return PureState(state.n_qubits, amp)
@@ -282,7 +281,7 @@ def encode_well_formed(
             f"logical state has {psi.n_qubits} qubits but device encodes {topo.n_logical}"
         )
     n_phys = topo.n_sites
-    _check_size(n_phys, backend)
+    check_size(n_phys, backend)
     amp = np.asarray(psi.amplitudes, dtype=np.complex128)
     tol = PRUNE_TOLERANCE[backend]
     (kept,) = np.nonzero(np.abs(amp) >= tol if tol else amp != 0)

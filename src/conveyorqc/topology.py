@@ -221,6 +221,7 @@ def validate(topo: DeviceTopology) -> list[str]:
         bad.append(f"site count {topo.n_sites} != {expected_count} for kind {topo.kind}")
     if set(by_id) != set(range(topo.n_sites)):
         bad.append("site ids are not 0..n_sites-1")
+    bad += [f"edge ({i},{j}) names an unknown site" for i, j in topo.edges if not {i, j} <= by_id.keys()]
     if bad:
         return bad  # structure too broken for the remaining checks
 
@@ -228,11 +229,11 @@ def validate(topo: DeviceTopology) -> list[str]:
     for i, j in topo.edges:
         if i == j:
             bad.append(f"self-loop edge at site {i}")
-        if i in by_id and j in by_id and by_id[i].species.family is by_id[j].species.family:
+        if by_id[i].species.family is by_id[j].species.family:
             bad.append(f"edge ({i},{j}) joins two {by_id[i].species.family.value}-family sites")
 
     for s in topo.sites:
-        loop_degree = sum(1 for k in nbrs[s.index] if k in by_id and by_id[k].on_loop)
+        loop_degree = sum(1 for k in nbrs[s.index] if by_id[k].on_loop)
         if s.on_loop and loop_degree != 2:
             bad.append(f"loop site {s.index} has {loop_degree} loop neighbors, expected 2")
         if s.triangle_corrected != (len(nbrs[s.index]) == 3):

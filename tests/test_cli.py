@@ -1,7 +1,7 @@
 import json
 import math
-import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +29,7 @@ def run_cli(capsys, *argv):
 
 def read_state_csv(path, n_qubits):
     amp = np.zeros(1 << n_qubits, dtype=complex)
-    for line in open(path).read().splitlines()[1:]:
+    for line in Path(path).read_text().splitlines()[1:]:
         idx, re, im = line.split(",")
         amp[int(idx, 16)] = float(re) + 1j * float(im)
     return to_sparse(PureState(n_qubits, amp), 0.0)
@@ -354,6 +354,13 @@ def test_run_rejects_topology_whose_n_disagrees_with_its_sites(tmp_path, capsys,
     assert peak < 16, f"run traced peak {peak:.1f} MiB"  # nothing sized by n_logical is built
 
 
+def test_run_rejects_topology_with_edge_to_unknown_site(tmp_path, capsys):
+    doc = to_json_dict(build_conveyor(4))
+    doc["edges"].append([0, 99])
+    code, report = _run_on_topology_doc(tmp_path, capsys, doc)
+    assert code == 2 and report["status"] == "error" and "edge (0,99) names an unknown site" in report["error"]
+
+
 def test_run_rejects_variant_topology_below_eight_qubits(tmp_path, capsys):
     doc = to_json_dict(build_conveyor(4))
     doc["kind"] = "two_coupler_three_species"
@@ -361,19 +368,42 @@ def test_run_rejects_variant_topology_below_eight_qubits(tmp_path, capsys):
     assert code == 2 and report["status"] == "error" and "n_logical >= 8" in report["error"]
 
 
-def test_run_dense_refuses_oversized_device(tmp_path, capsys):
+def test_dense_backend_holds_n8_device(tmp_path, capsys):
+    # 33 sites: both backends store the support, never 2^33 amplitudes.
     topo_file = tmp_path / "topo8.json"
     run_cli(capsys, "topology", "--n", "8", "--out", str(topo_file))
     sched = tmp_path / "sched.txt"
     sched.write_text("MACRO INIT\nMACRO EXC\n")
     argv = ["run", "--topology", str(topo_file), "--schedule", str(sched), "--out", str(tmp_path / "s.csv")]
-    t0 = time.monotonic()
-    code, report = run_cli(capsys, *argv, "--backend", "dense")
-    assert time.monotonic() - t0 < 1.0  # refused before allocating 2^33 amplitudes
-    assert code == 2 and report["status"] == "error" and "sparse backend" in report["error"]
+    for backend in ("dense", "sparse"):
+        code, report, peak = _traced_peak_mib(capsys, *argv, "--backend", backend)
+        assert code == 0 and report["closest_phase"] == "PF" and report["residual"] < 1e-12
+        assert peak < 16, f"{backend} run traced peak {peak:.1f} MiB"
 
-    code, report = run_cli(capsys, *argv, "--backend", "sparse")
-    assert code == 0 and report["closest_phase"] == "PF" and report["residual"] < 1e-12
+    circ = tmp_path / "circ.txt"
+    circ.write_text("H q=1\nCNOT a=1 b=8\n")
+    code, report, peak = _traced_peak_mib(capsys, "verify", "--circuit", str(circ), "--n", "8", "--trials", "1")
+    assert code == 0 and report["backend"] == "dense" and report["min_fidelity"] >= 1 - 1e-8
+    assert peak < 16, f"verify traced peak {peak:.1f} MiB"
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+def test_device_too_large_for_any_state_is_refused_before_allocating(tmp_path, capsys, command):
+    # N=40 has 161 sites; its 2^40 logical vector alone would be 16 TiB.
+    if command == "verify":
+        circ = tmp_path / "empty.txt"
+        circ.write_text("")
+        argv = ["verify", "--circuit", str(circ), "--n", "40", "--trials", "0"]
+    else:
+        topo_file, psi_file, sched = tmp_path / "topo40.json", tmp_path / "psi.csv", tmp_path / "exc.txt"
+        run_cli(capsys, "topology", "--n", "40", "--out", str(topo_file))
+        psi_file.write_text("index,real,imag\n0x0,1,0\n")
+        sched.write_text("MACRO EXC\n")
+        argv = ["run", "--topology", str(topo_file), "--schedule", str(sched), "--initial-state", str(psi_file),
+                "--out", str(tmp_path / "s.csv")]
+    code, report, peak = _traced_peak_mib(capsys, *argv, "--backend", "sparse")
+    assert code == 2 and report["status"] == "error" and "161 qubits exceed the limit of 63" in report["error"]
+    assert peak < 16, f"{command} traced peak {peak:.1f} MiB"
 
 
 def test_run_rejects_non_finite_initial_state(tmp_path, capsys):

@@ -27,7 +27,15 @@ from conveyorqc.compiler import (
     write_circuit,
 )
 from conveyorqc.oracle import compare_up_to_global_phase, simulate_logical
-from conveyorqc.pulses import TargetClass, X_AXIS, apply_schedule, seq_toffoli
+from conveyorqc.pulses import (
+    TargetClass,
+    X_AXIS,
+    apply_schedule,
+    parse_schedule,
+    seq_toffoli,
+    step_pulses,
+    write_schedule,
+)
 from conveyorqc.state import (
     LogicalStateVector,
     PhaseLabel,
@@ -286,7 +294,7 @@ def test_compile_single_x_structure():
     result = compile_circuit(LogicalCircuit(4, (LogicalGate("X", (3,)),)), TOPO4)
     ell = route_to_Q2(3, PhaseLabel.FP, 4)
     assert ell == 3
-    names = [a.name for a in result.schedule.annotations]
+    names = [step for step in result.schedule.steps if isinstance(step, str)]
     assert names == ["EXC"] * ell + ["EXC_INV"] * ell
     assert result.pulse_count == ell * 8 + 1 + ell * 10
     q2 = result.schedule.pulses[ell * 8]
@@ -349,13 +357,32 @@ def test_macro_boundaries_cover_all_pulses():
     result = compile_circuit(LogicalCircuit(4, (LogicalGate("CNOT", (1, 2)),)), TOPO4)
     bounds = macro_boundaries(result.schedule)
     assert bounds[-1] == len(result.schedule)
-    spans = {(a.start, a.stop) for a in result.schedule.annotations}
+    spans, stop = set(), 0
+    for step in result.schedule.steps:
+        start, stop = stop, stop + len(step_pulses(step))
+        if isinstance(step, str):
+            spans.add((start, stop))
     inside = set()
     for s, e in spans:
         inside.update(range(s, e))
     for i in range(len(result.schedule)):
         if i not in inside:
             assert i + 1 in bounds
+
+
+def test_compiled_schedule_text_round_trip():
+    circuit = random_circuit(6, 10, np.random.default_rng(3))
+    assert {g.kind for g in circuit.gates} == set(GATE_ARITY)
+    result = compile_circuit(circuit, build_conveyor(6))
+    meta = {"final_placement": ",".join(map(str, result.placement)), "pulses": str(result.pulse_count)}
+    text = write_schedule(result.schedule, meta=meta)
+    parsed, parsed_meta = parse_schedule(text)
+    assert write_schedule(parsed, meta=parsed_meta) == text
+    assert parsed.steps == result.schedule.steps
+    assert len(parsed) == int(parsed_meta["pulses"]) == result.pulse_count
+    assert macro_boundaries(parsed)[-1] == len(parsed)
+    with pytest.raises(AttributeError):  # the expanded pulses are a read-only view
+        parsed.pulses.append(parsed.pulses[0])
 
 
 def test_permute_logical_basis():

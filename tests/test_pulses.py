@@ -448,7 +448,7 @@ def test_schedule_text_round_trip():
     sched = PulseSchedule(pulses)
     text = write_schedule(sched, meta={"pulses": "6"})
     parsed, meta = parse_schedule(text)
-    assert parsed.pulses == pulses  # lossless floats
+    assert parsed.pulses == tuple(pulses)  # lossless floats
     assert meta["pulses"] == "6"
 
 
@@ -456,7 +456,7 @@ def test_schedule_macro_lines():
     text = "# a comment\nMACRO INIT\nMACRO EXC\nMACRO CCZ\nMACRO TOFFOLI\nMACRO EXC_INV\n"
     sched, _ = parse_schedule(text)
     assert len(sched) == 1 + 8 + 1 + 5 + 10
-    names = [a.name for a in sched.annotations]
+    names = [step for step in sched.steps if isinstance(step, str)]
     assert names == ["INIT", "EXC", "CCZ", "TOFFOLI", "EXC_INV"]
     # writer reproduces macro lines
     out = write_schedule(sched)
@@ -515,7 +515,7 @@ def test_schedule_text_round_trip_property(pieces, meta):
         sched.extend(piece)
     parsed, parsed_meta = parse_schedule(write_schedule(sched, meta=meta))
     assert parsed.pulses == sched.pulses
-    assert parsed.annotations == sched.annotations
+    assert parsed.steps == sched.steps
     assert parsed_meta == meta
 
 

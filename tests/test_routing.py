@@ -209,7 +209,7 @@ def test_macro_swap_relabels_placement():
             routing = _random_routing(n, rng)
             before = _copy(routing)
             sched = macro_swap(a, b, routing)
-            assert len(sched) == 0 and not sched.annotations
+            assert len(sched) == 0 and not sched.steps
             want = list(before.placement)
             want[a - 1], want[b - 1] = want[b - 1], want[a - 1]
             assert routing.placement == want

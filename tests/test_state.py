@@ -40,16 +40,17 @@ def test_all_ground():
 
 
 def test_backend_size_limits():
-    with pytest.raises(ValueError, match="sparse backend"):
-        all_ground(27)  # 2^27 amplitudes would need 2 GiB
+    # Both backends store the support; only the `to_dense` snapshot is 2^n wide.
+    assert len(all_ground(27).amplitudes) == 1
+    with pytest.raises(ValueError, match="dense snapshot"):
+        to_dense(all_ground(27))  # 2^27 amplitudes would need 2 GiB
     topo = build_conveyor(8)
     psi = LogicalStateVector(8, np.eye(256, dtype=complex)[0])
-    with pytest.raises(ValueError, match="sparse backend"):
-        encode_well_formed(psi, PhaseLabel.FP, topo)
-    assert len(encode_well_formed(psi, PhaseLabel.FP, topo, backend="sparse").amplitudes) == 1
-    assert len(all_ground(63, backend="sparse").amplitudes) == 1
-    with pytest.raises(ValueError):
-        all_ground(64, backend="sparse")
+    for backend in ("dense", "sparse"):
+        assert len(encode_well_formed(psi, PhaseLabel.FP, topo, backend=backend).amplitudes) == 1
+        assert len(all_ground(63, backend=backend).amplitudes) == 1
+        with pytest.raises(ValueError, match="limit of 63"):
+            all_ground(64, backend=backend)
 
 
 @pytest.mark.parametrize("backend", ["dense", "sparse"])
