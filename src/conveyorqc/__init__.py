@@ -24,12 +24,6 @@ from .pulses import (
     apply_global_pulse,
     apply_schedule,
     parse_schedule,
-    seq_ccz,
-    seq_exchange,
-    seq_exchange_inverse,
-    seq_init,
-    seq_single_qubit_at_Q2,
-    seq_toffoli,
     write_schedule,
 )
 from .state import (

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import compiler, hamiltonian, oracle, pulses, topology
 from .state import (
+    PRUNE_TOLERANCE,
     NotWellFormedError,
     PhaseLabel,
     all_ground,
@@ -231,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", required=True)
     p.add_argument("--initial-state", default=None, help="logical state CSV; default all-ground device")
     p.add_argument("--phase", choices=[ph.value for ph in PhaseLabel], default="FP")
-    p.add_argument("--backend", choices=["dense", "sparse"], default="dense")
+    p.add_argument("--backend", choices=sorted(PRUNE_TOLERANCE), default="dense")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_run)
 
@@ -244,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="compare a compiled schedule against the reference simulator")
     p.add_argument("--circuit", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--backend", choices=["dense", "sparse"], default="dense")
+    p.add_argument("--backend", choices=sorted(PRUNE_TOLERANCE), default="dense")
     p.add_argument("--schedule", default=None, help="verify this schedule instead of compiling")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=5)

@@ -36,12 +36,19 @@ from .pulses import (
     X_AXIS,
     Z_AXIS,
     apply_global_pulse,
+    fmt_float,
     step_pulses,
 )
 from .state import LogicalStateVector, PhaseLabel, SparseState, spread_bits, well_formed_residual
 from .topology import BASELINE, DeviceTopology
 
 GATE_ARITY = {"R": 1, "X": 1, "Z": 1, "H": 1, "CNOT": 2, "CZ": 2, "SWAP": 2, "TOFFOLI": 3}
+# The circuit text names a gate's operands by these keys, in operand order;
+# an R line also takes theta= and axis=, read by these parsers.
+OPERAND_KEYS = {1: ("q",), 2: ("a", "b"), 3: ("a", "b", "c")}
+EXTRA_KEYS = {"R": {"theta": float, "axis": lambda v: tuple(float(x) for x in v.split(","))}}
+# Gates that lower as R(pi, axis).
+FIXED_ROTATIONS = {"X": X_AXIS, "Z": Z_AXIS, "H": HADAMARD_AXIS}
 
 
 @dataclass(frozen=True)
@@ -345,26 +352,21 @@ class CompileResult:
     pulse_count: int
 
 
+_GATE_MACROS = {"CNOT": macro_cnot, "SWAP": macro_swap, "TOFFOLI": macro_toffoli}
+
+
 def _lower_gate(gate: LogicalGate, routing: RoutingState) -> PulseSchedule:
     if gate.kind == "R":
-        return macro_single_qubit(gate.qubits[0], gate.theta, gate.axis, routing)
-    if gate.kind == "X":
-        return macro_single_qubit(gate.qubits[0], math.pi, X_AXIS, routing)
-    if gate.kind == "Z":
-        return macro_single_qubit(gate.qubits[0], math.pi, Z_AXIS, routing)
-    if gate.kind == "H":
-        return macro_single_qubit(gate.qubits[0], math.pi, HADAMARD_AXIS, routing)
-    if gate.kind == "CNOT":
-        return macro_cnot(gate.qubits[0], gate.qubits[1], routing)
-    if gate.kind == "CZ":
+        return macro_single_qubit(*gate.qubits, gate.theta, gate.axis, routing)
+    if gate.kind in FIXED_ROTATIONS:
+        return macro_single_qubit(*gate.qubits, math.pi, FIXED_ROTATIONS[gate.kind], routing)
+    if gate.kind == "CZ":  # CNOT between Hadamards on the target
         a, c = gate.qubits
         part = macro_single_qubit(c, math.pi, HADAMARD_AXIS, routing)
         part.extend(macro_cnot(a, c, routing))
         part.extend(macro_single_qubit(c, math.pi, HADAMARD_AXIS, routing))
         return part
-    if gate.kind == "SWAP":
-        return macro_swap(gate.qubits[0], gate.qubits[1], routing)
-    return macro_toffoli(gate.qubits[0], gate.qubits[1], gate.qubits[2], routing)
+    return _GATE_MACROS[gate.kind](*gate.qubits, routing)
 
 
 def compile_circuit(circuit: LogicalCircuit, topo: DeviceTopology) -> CompileResult:
@@ -432,54 +434,43 @@ def random_circuit(n_qubits: int, depth: int, rng: np.random.Generator) -> Logic
 
 # --- circuit text format --------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def write_circuit(circuit: LogicalCircuit) -> str:
     lines = []
     for g in circuit.gates:
+        fields = [g.kind] + [f"{k}={q}" for k, q in zip(OPERAND_KEYS[len(g.qubits)], g.qubits)]
         if g.kind == "R":
-            ax = ",".join(_fmt(v) for v in g.axis)
-            lines.append(f"R q={g.qubits[0]} theta={_fmt(g.theta)} axis={ax}")
-        elif g.kind in ("X", "Z", "H"):
-            lines.append(f"{g.kind} q={g.qubits[0]}")
-        elif g.kind == "TOFFOLI":
-            a, b, c = g.qubits
-            lines.append(f"TOFFOLI a={a} b={b} c={c}")
-        else:
-            a, b = g.qubits
-            lines.append(f"{g.kind} a={a} b={b}")
-    return "\n".join(lines) + "\n" if lines else ""
+            fields += [f"theta={fmt_float(g.theta)}", "axis=" + ",".join(fmt_float(v) for v in g.axis)]
+        lines.append(" ".join(fields) + "\n")
+    return "".join(lines)
 
 
 def parse_circuit(text: str, n_qubits: int) -> LogicalCircuit:
+    """One gate per line, `KIND key=value ...`, each of the kind's keys once."""
     gates = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
-        kind = fields[0]
-        kv = {}
-        for f in fields[1:]:
+        kind, *fields = line.split()
+        for f in fields:
             if "=" not in f:
                 raise ValueError(f"line {line_no}: expected key=value, got {f!r}")
-            k, _, v = f.partition("=")
-            kv[k] = v
         try:
-            if kind == "R":
-                axis = tuple(float(v) for v in kv["axis"].split(","))
-                gates.append(LogicalGate("R", (int(kv["q"]),), float(kv["theta"]), axis))
-            elif kind in ("X", "Z", "H"):
-                gates.append(LogicalGate(kind, (int(kv["q"]),)))
-            elif kind in ("CNOT", "CZ", "SWAP"):
-                gates.append(LogicalGate(kind, (int(kv["a"]), int(kv["b"]))))
-            elif kind == "TOFFOLI":
-                gates.append(LogicalGate("TOFFOLI", (int(kv["a"]), int(kv["b"]), int(kv["c"]))))
-            else:
+            if kind not in GATE_ARITY:
                 raise ValueError(f"unknown gate {kind!r}")
-            if any(q > n_qubits for q in gates[-1].qubits):
+            operand_keys = OPERAND_KEYS[GATE_ARITY[kind]]
+            extra_keys = EXTRA_KEYS.get(kind, {})
+            allowed = operand_keys + tuple(extra_keys)
+            kv = {}
+            for k, _, v in (f.partition("=") for f in fields):
+                if k not in allowed:
+                    raise ValueError(f"{kind} takes keys {', '.join(allowed)}, got {k!r}")
+                if k in kv:
+                    raise ValueError(f"key {k!r} given twice")
+                kv[k] = v
+            qubits = tuple(int(kv[k]) for k in operand_keys)
+            gates.append(LogicalGate(kind, qubits, **{k: parse(kv[k]) for k, parse in extra_keys.items()}))
+            if any(q > n_qubits for q in qubits):
                 raise ValueError(f"{kind} addresses qubits beyond n={n_qubits}")
         except KeyError as e:
             raise ValueError(f"line {line_no}: missing field {e} for {kind}") from None

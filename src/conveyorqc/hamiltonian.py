@@ -119,11 +119,11 @@ def _frequencies(fragment: Fragment, model: ContinuousModel) -> tuple[float, flo
     return w0, wn
 
 
-def rabi_amplitude(fragment: Fragment, model: ContinuousModel) -> float:
-    return 2 * model.omega_rabi if fragment.crossed else model.omega_rabi
+def rabi_amplitude(fragment: Fragment, omega_rabi: float) -> float:
+    return 2 * omega_rabi if fragment.crossed else omega_rabi
 
 
-def _diagonal(fragment: Fragment, model: ContinuousModel, frame: str) -> np.ndarray:
+def _diagonal(fragment: Fragment, model: ContinuousModel) -> np.ndarray:
     m = fragment.n_qubits
     idx = np.arange(1 << m)
     sz = [2.0 * ((idx >> q) & 1) - 1.0 for q in range(m)]
@@ -131,7 +131,7 @@ def _diagonal(fragment: Fragment, model: ContinuousModel, frame: str) -> np.ndar
     d = 0.5 * w0 * sz[0]
     for k in range(1, m):
         d = d + 0.5 * wn * sz[k] + 0.5 * model.zeta * sz[0] * sz[k]
-    if frame == ROTATING_WAVE:
+    if model.frame == ROTATING_WAVE:
         d = d - 0.5 * model.omega_drive * sz[0]
     return d
 
@@ -139,8 +139,8 @@ def _diagonal(fragment: Fragment, model: ContinuousModel, frame: str) -> np.ndar
 def build_hamiltonian(fragment: Fragment, model: ContinuousModel, t: float) -> np.ndarray:
     """H(t) as a dense Hermitian matrix in the model's frame (hbar = 1)."""
     dim = 1 << fragment.n_qubits
-    h = np.diag(_diagonal(fragment, model, model.frame).astype(complex))
-    amp = rabi_amplitude(fragment, model)
+    h = np.diag(_diagonal(fragment, model).astype(complex))
+    amp = rabi_amplitude(fragment, model.omega_rabi)
     i0 = np.arange(0, dim, 2)  # driven-qubit bit clear
     i1 = i0 + 1
     if model.frame == LAB:
@@ -164,8 +164,8 @@ def _block_propagators(fragment: Fragment, model: ContinuousModel) -> np.ndarray
     n = floor(duration / T): only one period and the remainder are integrated.
     Raises ValueError when the result is not unitary to UNITARITY_TOL.
     """
-    d = _diagonal(fragment, model, model.frame).reshape(-1, 2, 1)  # row energies of each block
-    amp = rabi_amplitude(fragment, model)
+    d = _diagonal(fragment, model).reshape(-1, 2, 1)  # row energies of each block
+    amp = rabi_amplitude(fragment, model.omega_rabi)
     if model.frame == LAB:
         u01, u10 = -1j, 1j  # sigma_y
 
@@ -241,7 +241,6 @@ def pi_pulse_model(fragment: Fragment, eta: float) -> ContinuousModel:
     if not (math.isfinite(eta) and eta > 0):
         raise ValueError(f"eta must be positive and finite, got {eta}")
     omega_rabi = ZETA / eta
-    amp = 2 * omega_rabi if fragment.crossed else omega_rabi
     omega_drive = resonant_drive_frequency(fragment)
     return ContinuousModel(
         omega_a=OMEGA_A,
@@ -249,7 +248,7 @@ def pi_pulse_model(fragment: Fragment, eta: float) -> ContinuousModel:
         zeta=ZETA,
         omega_rabi=omega_rabi,
         omega_drive=omega_drive,
-        duration=math.pi / amp,
+        duration=math.pi / rabi_amplitude(fragment, omega_rabi),
         dt=DT_SCALE / max(OMEGA_A, OMEGA_B, omega_drive),
     )
 

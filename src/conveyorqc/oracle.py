@@ -14,12 +14,6 @@ import numpy as np
 from .compiler import LogicalCircuit, LogicalGate
 from .state import LogicalStateVector
 
-_SQ2 = 1.0 / np.sqrt(2.0)
-
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_H = np.array([[1, 1], [1, -1]], dtype=complex) * _SQ2
-
 
 def _rotation(theta: float, axis) -> np.ndarray:
     nx, ny, nz = axis
@@ -37,28 +31,30 @@ def _permutation(dim: int, mapping: dict[int, int]) -> np.ndarray:
     return out
 
 
+# Every kind but R, on its own operands: operand i maps to bit i.  CNOT's
+# control is operand 0; TOFFOLI's controls are operands 0 and 1.  Read-only,
+# since every gate of a kind shares its matrix.
+_FIXED = {
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) * (1.0 / np.sqrt(2.0)),
+    "CNOT": _permutation(4, {1: 3, 3: 1}),
+    "CZ": np.diag([1, 1, 1, -1]).astype(complex),
+    "SWAP": _permutation(4, {1: 2, 2: 1}),
+    "TOFFOLI": _permutation(8, {3: 7, 7: 3}),
+}
+for _m in _FIXED.values():
+    _m.flags.writeable = False
+
+
 def gate_small(gate: LogicalGate) -> np.ndarray:
     """Gate matrix on its own operands; operand i maps to bit i."""
-    if gate.kind == "R":
-        length = np.linalg.norm(gate.axis)
-        if abs(length - 1.0) > 1e-12:
-            raise ValueError(f"R gate on q{gate.qubits[0]}: axis must be unit length, |n| = {length}")
-        return _rotation(gate.theta, gate.axis)
-    if gate.kind == "X":
-        return _X
-    if gate.kind == "Z":
-        return _Z
-    if gate.kind == "H":
-        return _H
-    if gate.kind == "CNOT":  # control = operand 0 (bit 0), target = operand 1 (bit 1)
-        return _permutation(4, {1: 3, 3: 1})
-    if gate.kind == "CZ":
-        return np.diag([1, 1, 1, -1]).astype(complex)
-    if gate.kind == "SWAP":
-        return _permutation(4, {1: 2, 2: 1})
-    if gate.kind == "TOFFOLI":  # controls = operands 0,1, target = operand 2
-        return _permutation(8, {3: 7, 7: 3})
-    raise ValueError(f"unknown gate kind {gate.kind!r}")
+    if gate.kind != "R":
+        return _FIXED[gate.kind]
+    length = np.linalg.norm(gate.axis)
+    if abs(length - 1.0) > 1e-12:
+        raise ValueError(f"R gate on q{gate.qubits[0]}: axis must be unit length, |n| = {length}")
+    return _rotation(gate.theta, gate.axis)
 
 
 def embed(small: np.ndarray, qubits: tuple[int, ...], n_qubits: int) -> np.ndarray:

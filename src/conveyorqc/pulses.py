@@ -6,11 +6,11 @@ neighbors being in |g>.  Because targets and controls live on opposite sides
 of the bipartite device graph, the per-site factors commute, and a class
 pulse acts on the whole state at once.
 
-Named macros built here: the eight-pulse exchange sequence, its ten-pulse
-inverse, the 2pi conditional-phase pulse on the in-loop qubit, the five-pulse
-one-shot Toffoli, single-qubit rotations at Q_2, and the initialization line.
-A schedule holds one list of steps, each a macro name or a bare pulse, and
-the text format writes one line per step.
+`MACROS` names the pulse sequences a schedule may refer to by name: the
+exchange, its inverse, the conditional phase on the in-loop qubit, the
+one-shot Toffoli and the initialization line.  A single-qubit rotation at Q_2
+is one bare B-crossed pulse.  A schedule holds one list of steps, each a
+macro name or a bare pulse, and the text format writes one line per step.
 """
 
 from __future__ import annotations
@@ -142,6 +142,12 @@ def apply_schedule(state: SparseState, topo: DeviceTopology, schedule: PulseSche
 
 # --- named macros ---------------------------------------------------------------
 
+# On well-formed states: EXC (A-regular pi-x, then all-B pi-x, four times)
+# swaps neighboring IC pairs and toggles the sector phase, and EXC_INV undoes
+# it.  CCZ is -1 exactly when the in-loop qubit's three IC neighbors are all
+# in |g>, for any axis of its 2pi pulse.  TOFFOLI has controls Q_1, Q_3 and
+# target Q_2.  INIT (baseline design only) takes all-ground to the FP encoding
+# of the all-|g> logical state, up to a global phase.
 _B_ALL_PI_X = GlobalPulse(TargetClass.B_ALL, math.pi, X_AXIS)
 _EXC = (GlobalPulse(TargetClass.A_REGULAR, math.pi, X_AXIS), _B_ALL_PI_X) * 4
 MACROS = {
@@ -164,45 +170,9 @@ def step_pulses(step: str | GlobalPulse) -> tuple[GlobalPulse, ...]:
     return MACROS[step] if isinstance(step, str) else (step,)
 
 
-def seq_exchange() -> PulseSchedule:
-    """Eight alternating pulses that swap neighboring IC pairs and toggle the
-    sector phases: (A-regular pi-x, then all-B pi-x), four times."""
-    return PulseSchedule(["EXC"])
-
-
-def seq_exchange_inverse() -> PulseSchedule:
-    """All-B pi-x, the eight exchange pulses, all-B pi-x: acts as the inverse
-    of the exchange on well-formed states."""
-    return PulseSchedule(["EXC_INV"])
-
-
-def seq_ccz(axis=X_AXIS) -> PulseSchedule:
-    """2pi rotation of the in-loop A-crossed qubit: -1 phase exactly when its
-    three IC neighbors are all in |g>, for any axis."""
-    pulse = GlobalPulse(TargetClass.A_CROSSED, 2 * math.pi, axis)
-    return PulseSchedule(["CCZ" if (pulse,) == MACROS["CCZ"] else pulse])
-
-
-def seq_toffoli() -> PulseSchedule:
-    """One-shot Toffoli with Q_1, Q_3 as controls and Q_2 as target."""
-    return PulseSchedule(["TOFFOLI"])
-
-
-def seq_single_qubit_at_Q2(theta: float, axis) -> PulseSchedule:
-    return PulseSchedule([GlobalPulse(TargetClass.B_CROSSED, theta, tuple(axis))])
-
-
-def seq_init(topo: DeviceTopology) -> PulseSchedule:
-    """pi-pulse on the init line: from all-ground, produces the FP encoding of
-    the all-|g> logical state (up to a global phase)."""
-    if topo.kind != BASELINE:
-        raise ValueError("the initialization line exists only on the baseline design")
-    return PulseSchedule(["INIT"])
-
-
 # --- schedule text format --------------------------------------------------------
 
-def _fmt(x: float) -> str:
+def fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
@@ -213,8 +183,8 @@ def write_schedule(schedule: PulseSchedule, meta: dict | None = None) -> str:
         if isinstance(step, str):
             lines.append(f"MACRO {step}")
         else:
-            ax = ",".join(_fmt(v) for v in step.axis)
-            lines.append(f"PULSE {step.target.value} theta={_fmt(step.theta)} axis={ax}")
+            ax = ",".join(fmt_float(v) for v in step.axis)
+            lines.append(f"PULSE {step.target.value} theta={fmt_float(step.theta)} axis={ax}")
     for key, value in (meta or {}).items():
         lines.append(f"# {key}: {value}")
     return "\n".join(lines) + "\n"

@@ -361,6 +361,7 @@ def state_csv_lines(state: SparseState) -> list[str]:
 
 def load_logical_csv(path, n_qubits: int) -> LogicalStateVector:
     amp = np.zeros(1 << n_qubits, dtype=np.complex128)
+    seen: dict[int, int] = {}  # index -> the line that set it
     with open(path) as f:
         for line_no, line in enumerate(f):
             line = line.strip()
@@ -377,6 +378,9 @@ def load_logical_csv(path, n_qubits: int) -> LogicalStateVector:
                 raise ValueError(f"{path}:{line_no + 1}: index {idx:#x} out of range")
             if not (math.isfinite(re) and math.isfinite(im)):
                 raise ValueError(f"{path}:{line_no + 1}: amplitude {re},{im} is not finite")
+            if idx in seen:
+                raise ValueError(f"{path}:{line_no + 1}: index {idx:#x} already set on line {seen[idx]}")
+            seen[idx] = line_no + 1
             amp[idx] = complex(re, im)
     n = np.linalg.norm(amp)
     if abs(n - 1.0) > 1e-9:

@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines live.
 """
 
+import math
 import time
 from contextlib import contextmanager
 
@@ -24,12 +25,11 @@ from conveyorqc.hamiltonian import FRAGMENT_KINDS, blockade_fidelity, pi_pulse_m
 from conveyorqc.oracle import compare_up_to_global_phase, simulate_logical
 from conveyorqc.pulses import (
     X_AXIS,
+    GlobalPulse,
+    PulseSchedule,
+    TargetClass,
     apply_global_pulse,
     apply_schedule,
-    seq_ccz,
-    seq_exchange,
-    seq_exchange_inverse,
-    seq_toffoli,
 )
 from conveyorqc.state import (
     LogicalStateVector,
@@ -72,7 +72,7 @@ def raw_logical(state, topo, phase):
 def test_criterion_01_exchange_branch_tables():
     with criterion(1, "exchange branch tables exact to 1e-12 for all four links, 8 prefixes"):
         t0 = time.monotonic()
-        pulses = seq_exchange().pulses
+        pulses = PulseSchedule(["EXC"]).pulses
         for k in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             st = embedded_link_input(TOPO4, *k)
             for step in range(1, 9):
@@ -90,7 +90,7 @@ def test_criterion_02_paramagnetic_track():
     with criterion(2, "paramagnetic sector returns to ferro with phase (-i)^7 after 8 pulses"):
         assert PARA_TRACK[-1] == (0, 0, 0, 7)
         st = embedded_link_input(TOPO4, 0, 0)  # S_2 and S_4 are paramagnetic
-        apply_schedule(st, TOPO4, seq_exchange())
+        apply_schedule(st, TOPO4, PulseSchedule(["EXC"]))
         index, phase = expected_after_prefix(0, 0, 8)
         mf = FERRO_TRACK[(0, 0)][-1][5]
         assert phase == QUARTER_TURN[(2 * mf + 2 * 7) % 4]
@@ -110,7 +110,7 @@ def test_criterion_03_exchange_semantics_both_backends():
                 for _ in range(50):
                     psi = random_logical_state(n, rng)
                     st = encode_well_formed(psi, start, topo, backend=backend)
-                    apply_schedule(st, topo, seq_exchange())
+                    apply_schedule(st, topo, PulseSchedule(["EXC"]))
                     dec, phase, _ = decode_well_formed(st, topo)
                     assert phase is start.flipped()
                     expected = permute_logical(psi, permutation_after(1, start, n))
@@ -129,12 +129,12 @@ def test_criterion_04_concatenation_and_inverse():
 
             st = encode_well_formed(psi, PhaseLabel.FP, TOPO4)
             for _ in range(4):
-                apply_schedule(st, TOPO4, seq_exchange())
+                apply_schedule(st, TOPO4, PulseSchedule(["EXC"]))
             assert fidelity(st, ref) >= 1 - 1e-10
 
             st = encode_well_formed(psi, PhaseLabel.FP, TOPO4)
-            apply_schedule(st, TOPO4, seq_exchange())
-            apply_schedule(st, TOPO4, seq_exchange_inverse())
+            apply_schedule(st, TOPO4, PulseSchedule(["EXC"]))
+            apply_schedule(st, TOPO4, PulseSchedule(["EXC_INV"]))
             assert fidelity(st, ref) >= 1 - 1e-10
 
 
@@ -150,7 +150,7 @@ def test_criterion_05_ccz_branches_and_axes():
                 bits = ((k >> 0) & 1, (k >> 1) & 1, (k >> 2) & 1, 0)
                 st = encode_well_formed(basis_logical(4, bits), PhaseLabel.FP, TOPO4)
                 before = to_dense(st).amplitudes
-                apply_schedule(st, TOPO4, seq_ccz(axis))
+                apply_schedule(st, TOPO4, PulseSchedule(["CCZ"] if axis == X_AXIS else [GlobalPulse(TargetClass.A_CROSSED, 2 * math.pi, axis)]))
                 want = -1.0 if bits[:3] == (0, 0, 0) else 1.0
                 assert np.max(np.abs(to_dense(st).amplitudes - want * before)) < 1e-12
 
@@ -164,7 +164,7 @@ def test_criterion_06_one_shot_toffoli():
         overlap_ref = None
         for psi in inputs:
             st = encode_well_formed(psi, PhaseLabel.FP, TOPO4)
-            apply_schedule(st, TOPO4, seq_toffoli())
+            apply_schedule(st, TOPO4, PulseSchedule(["TOFFOLI"]))
             raw = raw_logical(st, TOPO4, PhaseLabel.FP)
             expected = simulate_logical(circ, psi)
             ip = np.vdot(expected.amplitudes, raw)
@@ -223,8 +223,8 @@ def test_criterion_08_backend_equivalence(compiled_random_circuits):
                 psi = random_logical_state(4, rng)
                 dense = encode_well_formed(psi, start, TOPO4, backend="dense")
                 sparse = encode_well_formed(psi, start, TOPO4, backend="sparse")
-                apply_schedule(dense, TOPO4, seq_exchange())
-                apply_schedule(sparse, TOPO4, seq_exchange())
+                apply_schedule(dense, TOPO4, PulseSchedule(["EXC"]))
+                apply_schedule(sparse, TOPO4, PulseSchedule(["EXC"]))
                 assert l2_distance(dense, sparse) < 1e-10
         for rec in compiled_random_circuits:
             assert l2_distance(rec["dense_final"], rec["sparse_final"]) < 1e-10

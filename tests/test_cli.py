@@ -406,14 +406,14 @@ def test_device_too_large_for_any_state_is_refused_before_allocating(tmp_path, c
     assert peak < 16, f"{command} traced peak {peak:.1f} MiB"
 
 
-def test_run_rejects_non_finite_initial_state(tmp_path, capsys):
+def _run_on_initial_state(tmp_path, capsys, csv_text):
     topo_file = tmp_path / "topo.json"
     run_cli(capsys, "topology", "--n", "4", "--out", str(topo_file))
     psi_file = tmp_path / "psi.csv"
-    psi_file.write_text("index,real,imag\n0x0,nan,0\n")
+    psi_file.write_text(csv_text)
     sched = tmp_path / "exc.txt"
     sched.write_text("MACRO EXC\n")
-    code, report = run_cli(
+    return run_cli(
         capsys,
         "run",
         "--topology",
@@ -425,7 +425,18 @@ def test_run_rejects_non_finite_initial_state(tmp_path, capsys):
         "--out",
         str(tmp_path / "state.csv"),
     )
+
+
+def test_run_rejects_non_finite_initial_state(tmp_path, capsys):
+    code, report = _run_on_initial_state(tmp_path, capsys, "index,real,imag\n0x0,nan,0\n")
     assert code == 2 and report["status"] == "error" and "psi.csv:2" in report["error"]
+
+
+def test_run_rejects_repeated_initial_state_index(tmp_path, capsys):
+    # The norm check alone passes these rows: the last 0x1 row would win.
+    code, report = _run_on_initial_state(tmp_path, capsys, "0x0,0.6,0\n0x1,0.8,0\n0x1,0.8,0\n")
+    assert code == 2 and report["status"] == "error"
+    assert "psi.csv:3: index 0x1 already set on line 2" in report["error"]
 
 
 @pytest.mark.parametrize(

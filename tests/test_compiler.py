@@ -28,11 +28,11 @@ from conveyorqc.compiler import (
 )
 from conveyorqc.oracle import compare_up_to_global_phase, simulate_logical
 from conveyorqc.pulses import (
+    PulseSchedule,
     TargetClass,
     X_AXIS,
     apply_schedule,
     parse_schedule,
-    seq_toffoli,
     step_pulses,
     write_schedule,
 )
@@ -252,7 +252,7 @@ def test_macro_swap_through_third():
 def test_macro_toffoli_identity_placement():
     routing = initial_routing(4)
     sched = macro_toffoli(1, 3, 2, routing)
-    assert sched.pulses == seq_toffoli().pulses
+    assert sched.pulses == PulseSchedule(["TOFFOLI"]).pulses
     assert routing.placement == [1, 2, 3, 4]
 
 
@@ -421,6 +421,9 @@ def test_circuit_text_round_trip():
         ("R q=1 theta=nan axis=1,0,0", "finite theta"),
         ("R q=1 theta=0.5 axis=1,inf,0", "finite axis"),
         ("R q=1 theta=0.5 axis=1,0", "three finite axis"),
+        ("X q=1 theta=0.5", "X takes keys q, got 'theta'"),
+        ("CNOT a=1 b=2 c=3", "CNOT takes keys a, b, got 'c'"),
+        ("H q=2 q=3", "key 'q' given twice"),
     ],
 )
 def test_circuit_parse_errors_name_the_line(line, message):

@@ -28,12 +28,6 @@ from conveyorqc.pulses import (
     apply_schedule,
     class_sites,
     parse_schedule,
-    seq_ccz,
-    seq_exchange,
-    seq_exchange_inverse,
-    seq_init,
-    seq_single_qubit_at_Q2,
-    seq_toffoli,
     write_schedule,
 )
 from conveyorqc.state import (
@@ -121,11 +115,11 @@ def test_sector_pulse_examples():
 
 
 def test_exchange_length_and_order():
-    seq = seq_exchange()
+    seq = PulseSchedule(["EXC"])
     assert len(seq) == 8
     assert [p.target for p in seq.pulses[:2]] == [TargetClass.A_REGULAR, TargetClass.B_ALL]
     assert all(p.theta == math.pi and p.axis == X_AXIS for p in seq.pulses)
-    inv = seq_exchange_inverse()
+    inv = PulseSchedule(["EXC_INV"])
     assert len(inv) == 10
     assert inv.pulses[0].target is TargetClass.B_ALL and inv.pulses[-1].target is TargetClass.B_ALL
 
@@ -136,7 +130,7 @@ def test_exchange_branch_tables_prefixes(k):
     bits and accumulated (-i)^m phase follow the hand-derived tables."""
     topo = build_conveyor(4)
     st = embedded_link_input(topo, *k)
-    pulses = seq_exchange().pulses
+    pulses = PulseSchedule(["EXC"]).pulses
     for step in range(1, 9):
         apply_global_pulse(st, topo, pulses[step - 1])
         index, phase = expected_after_prefix(k[0], k[1], step)
@@ -154,7 +148,7 @@ def test_paramagnetic_track_returns_to_ferro_with_seven_flips():
 def test_link_swap_with_eleven_flips():
     topo = build_conveyor(4)
     st = embedded_link_input(topo, 0, 1)
-    apply_schedule(st, topo, seq_exchange())
+    apply_schedule(st, topo, PulseSchedule(["EXC"]))
     index, phase = expected_after_prefix(0, 1, 8)
     assert (index >> 0) & 1 == 1 and (index >> 4) & 1 == 0  # contents swapped
     assert phase == QUARTER_TURN[(11 + 11 + 14) % 4]
@@ -168,7 +162,7 @@ def test_exchange_semantics_decode(phase):
     for _ in range(5):
         psi = random_logical_state(4, rng)
         st = encode_well_formed(psi, phase, topo)
-        apply_schedule(st, topo, seq_exchange())
+        apply_schedule(st, topo, PulseSchedule(["EXC"]))
         dec, out_phase, _ = decode_well_formed(st, topo)
         assert out_phase is phase.flipped()
         expected = permute_logical(psi, permutation_after(1, phase, 4))
@@ -182,21 +176,21 @@ def test_exchange_inverse_properties():
     psi = random_logical_state(4, rng)
 
     st = encode_well_formed(psi, PhaseLabel.FP, topo)
-    apply_schedule(st, topo, seq_exchange())
-    apply_schedule(st, topo, seq_exchange_inverse())
+    apply_schedule(st, topo, PulseSchedule(["EXC"]))
+    apply_schedule(st, topo, PulseSchedule(["EXC_INV"]))
     assert fidelity(st, encode_well_formed(psi, PhaseLabel.FP, topo)) >= 1 - 1e-10
 
     # the ten-pulse inverse equals N-1 forward exchanges up to a global phase
     st_a = encode_well_formed(psi, PhaseLabel.FP, topo)
-    apply_schedule(st_a, topo, seq_exchange_inverse())
+    apply_schedule(st_a, topo, PulseSchedule(["EXC_INV"]))
     st_b = encode_well_formed(psi, PhaseLabel.FP, topo)
     for _ in range(3):
-        apply_schedule(st_b, topo, seq_exchange())
+        apply_schedule(st_b, topo, PulseSchedule(["EXC"]))
     assert fidelity(st_a, st_b) >= 1 - 1e-10
 
     # from PF it undoes the forward permutation
     st_c = encode_well_formed(psi, PhaseLabel.PF, topo)
-    apply_schedule(st_c, topo, seq_exchange_inverse())
+    apply_schedule(st_c, topo, PulseSchedule(["EXC_INV"]))
     dec, out_phase, _ = decode_well_formed(st_c, topo)
     assert out_phase is PhaseLabel.FP
     fwd = permutation_after(1, PhaseLabel.FP, 4)
@@ -210,7 +204,7 @@ def test_exchange_period_n():
     psi = random_logical_state(4, np.random.default_rng(13))
     st = encode_well_formed(psi, PhaseLabel.FP, topo)
     for _ in range(4):
-        apply_schedule(st, topo, seq_exchange())
+        apply_schedule(st, topo, PulseSchedule(["EXC"]))
     assert fidelity(st, encode_well_formed(psi, PhaseLabel.FP, topo)) >= 1 - 1e-10
 
 
@@ -221,7 +215,7 @@ def test_exchange_concatenation_rule():
     psi = random_logical_state(4, np.random.default_rng(24))
     st = encode_well_formed(psi, PhaseLabel.FP, topo)
     for ell in range(1, 5):
-        apply_schedule(st, topo, seq_exchange())
+        apply_schedule(st, topo, PulseSchedule(["EXC"]))
         dec, phase, _ = decode_well_formed(st, topo)
         assert phase is (PhaseLabel.FP if ell % 2 == 0 else PhaseLabel.PF)
         expected = permute_logical(psi, permutation_after(ell, PhaseLabel.FP, 4))
@@ -231,7 +225,7 @@ def test_exchange_concatenation_rule():
 
 def test_ccz_branch_table_and_axis_independence():
     topo = build_conveyor(4)
-    assert len(seq_ccz()) == 1
+    assert len(PulseSchedule(["CCZ"])) == 1
     rng = np.random.default_rng(14)
     axes = [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)]
     for _ in range(5):
@@ -242,7 +236,7 @@ def test_ccz_branch_table_and_axis_independence():
             bits = ((k >> 0) & 1, (k >> 1) & 1, (k >> 2) & 1, 0)
             st = encode_well_formed(basis_logical(4, bits), PhaseLabel.FP, topo)
             before = to_dense(st).amplitudes
-            apply_schedule(st, topo, seq_ccz(axis))
+            apply_schedule(st, topo, PulseSchedule(["CCZ"] if axis == X_AXIS else [GlobalPulse(TargetClass.A_CROSSED, 2 * math.pi, axis)]))
             want = -1.0 if bits[:3] == (0, 0, 0) else 1.0
             assert np.max(np.abs(to_dense(st).amplitudes - want * before)) < 1e-12
 
@@ -252,14 +246,14 @@ def test_ccz_twice_is_identity():
     psi = random_logical_state(4, np.random.default_rng(15))
     st = encode_well_formed(psi, PhaseLabel.FP, topo)
     before = to_dense(st).amplitudes
-    apply_schedule(st, topo, seq_ccz())
-    apply_schedule(st, topo, seq_ccz())
+    apply_schedule(st, topo, PulseSchedule(["CCZ"]))
+    apply_schedule(st, topo, PulseSchedule(["CCZ"]))
     assert np.max(np.abs(to_dense(st).amplitudes - before)) < 1e-12
 
 
 def test_toffoli_sequence():
     topo = build_conveyor(4)
-    assert len(seq_toffoli()) == 5
+    assert len(PulseSchedule(["TOFFOLI"])) == 5
     circ = LogicalCircuit(4, (LogicalGate("TOFFOLI", (1, 3, 2)),))
 
     # the (e, _, e) controls flip the target; others do nothing; one shared phase
@@ -268,7 +262,7 @@ def test_toffoli_sequence():
         bits = ((k >> 0) & 1, (k >> 1) & 1, (k >> 2) & 1, 0)
         psi = basis_logical(4, bits)
         st = encode_well_formed(psi, PhaseLabel.FP, topo)
-        apply_schedule(st, topo, seq_toffoli())
+        apply_schedule(st, topo, PulseSchedule(["TOFFOLI"]))
         raw = to_dense(st).amplitudes[_wf_table(topo, PhaseLabel.FP)]
         expected = simulate_logical(circ, psi)
         ip = np.vdot(expected.amplitudes, raw)
@@ -278,12 +272,12 @@ def test_toffoli_sequence():
 
     # explicit controlled and uncontrolled branches
     st = encode_well_formed(basis_logical(4, (1, 0, 1, 0)), PhaseLabel.FP, topo)
-    apply_schedule(st, topo, seq_toffoli())
+    apply_schedule(st, topo, PulseSchedule(["TOFFOLI"]))
     dec, _, _ = decode_well_formed(st, topo)
     assert abs(abs(dec.amplitudes[0b0111]) - 1) < 1e-12
 
     st = encode_well_formed(basis_logical(4, (0, 1, 0, 0)), PhaseLabel.FP, topo)
-    apply_schedule(st, topo, seq_toffoli())
+    apply_schedule(st, topo, PulseSchedule(["TOFFOLI"]))
     dec, _, _ = decode_well_formed(st, topo)
     assert abs(abs(dec.amplitudes[0b0010]) - 1) < 1e-12
 
@@ -296,7 +290,7 @@ def test_toffoli_common_phase_on_superpositions():
     for _ in range(10):
         psi = random_logical_state(4, rng)
         st = encode_well_formed(psi, PhaseLabel.FP, topo)
-        apply_schedule(st, topo, seq_toffoli())
+        apply_schedule(st, topo, PulseSchedule(["TOFFOLI"]))
         raw = LogicalStateVector(4, to_dense(st).amplitudes[_wf_table(topo, PhaseLabel.FP)])
         expected = simulate_logical(circ, psi)
         ip = np.vdot(expected.amplitudes, raw.amplitudes)
@@ -316,13 +310,13 @@ def test_single_qubit_at_q2():
     topo = build_conveyor(4)
     psi = basis_logical(4, (0, 0, 0, 0))
     st = encode_well_formed(psi, PhaseLabel.FP, topo)
-    apply_schedule(st, topo, seq_single_qubit_at_Q2(math.pi, X_AXIS))
+    apply_schedule(st, topo, PulseSchedule([GlobalPulse(TargetClass.B_CROSSED, math.pi, X_AXIS)]))
     flipped = encode_well_formed(basis_logical(4, (0, 1, 0, 0)), PhaseLabel.FP, topo)
     assert np.max(np.abs(to_dense(st).amplitudes - (-1j) * to_dense(flipped).amplitudes)) < 1e-12
 
     st = encode_well_formed(psi, PhaseLabel.FP, topo)
     before = to_dense(st).amplitudes
-    apply_schedule(st, topo, seq_single_qubit_at_Q2(0.0, X_AXIS))
+    apply_schedule(st, topo, PulseSchedule([GlobalPulse(TargetClass.B_CROSSED, 0.0, X_AXIS)]))
     assert np.array_equal(to_dense(st).amplitudes, before)
 
     rng = np.random.default_rng(17)
@@ -331,7 +325,7 @@ def test_single_qubit_at_q2():
     theta = float(rng.uniform(-math.pi, math.pi))
     psi = random_logical_state(4, rng)
     st = encode_well_formed(psi, PhaseLabel.FP, topo)
-    apply_schedule(st, topo, seq_single_qubit_at_Q2(theta, axis))
+    apply_schedule(st, topo, PulseSchedule([GlobalPulse(TargetClass.B_CROSSED, theta, axis)]))
     dec, _, _ = decode_well_formed(st, topo)
     oracle_out = simulate_logical(LogicalCircuit(4, (LogicalGate("R", (2,), theta, axis),)), psi)
     fid, _ = compare_up_to_global_phase(oracle_out, dec)
@@ -341,18 +335,19 @@ def test_single_qubit_at_q2():
 def test_init_sequence():
     topo = build_conveyor(4)
     st = all_ground(topo.n_sites)
-    apply_schedule(st, topo, seq_init(topo))
+    apply_schedule(st, topo, PulseSchedule(["INIT"]))
     dec, phase, _ = decode_well_formed(st, topo)
     assert phase is PhaseLabel.FP
     assert abs(abs(dec.amplitudes[0]) - 1) < 1e-12
     assert topo.init_targets == (6, 14)  # centers of S_2 and S_4
 
-    apply_schedule(st, topo, seq_init(topo))
+    apply_schedule(st, topo, PulseSchedule(["INIT"]))
     ground = all_ground(topo.n_sites)
     assert fidelity(st, ground) >= 1 - 1e-12
 
-    with pytest.raises(ValueError):
-        seq_init(build_variant("two_coupler_three_species", 8))
+    variant = build_variant("two_coupler_three_species", 8)
+    with pytest.raises(ValueError, match="initialization line"):
+        apply_schedule(all_ground(variant.n_sites), variant, PulseSchedule(["INIT"]))
 
 
 def test_apply_schedule_identity_and_inverse():
@@ -431,7 +426,7 @@ def test_sparse_support_bound_under_exchange():
     psi = random_logical_state(4, np.random.default_rng(22))
     st = encode_well_formed(psi, PhaseLabel.FP, topo, backend="sparse")
     support = len(st.amplitudes)
-    for pulse in seq_exchange().pulses * 4:
+    for pulse in PulseSchedule(["EXC"]).pulses * 4:
         apply_global_pulse(st, topo, pulse)
         assert len(st.amplitudes) <= support
 
@@ -486,7 +481,6 @@ def test_schedule_parse_errors_name_the_line(line):
         parse_schedule(f"MACRO INIT\n# pulses: 2\n{line}\n")
 
 
-_TOPO4 = build_conveyor(4)
 _UNIT_AXES = (
     st.tuples(*[st.floats(-1, 1)] * 3)
     .filter(lambda v: math.hypot(*v) > 0.1)
@@ -499,9 +493,7 @@ _SCHEDULE_PIECES = st.one_of(
         st.floats(-2 * math.pi, 2 * math.pi),
         _UNIT_AXES,
     ),
-    st.sampled_from(
-        [seq_exchange, seq_exchange_inverse, seq_ccz, seq_toffoli, lambda: seq_init(_TOPO4)]
-    ).map(lambda seq: seq()),
+    st.sampled_from(["EXC", "EXC_INV", "CCZ", "TOFFOLI", "INIT"]).map(lambda name: PulseSchedule([name])),
 )
 _META_KEYS = st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=12)
 _META_VALUES = st.text("abc xyz,0123456789:#=-.", max_size=20).map(str.strip)
@@ -543,8 +535,8 @@ def test_device_tables_are_freed_with_the_topology(tmp_path):
     topo = load(tmp_path / "topo.json")
     for backend in ("dense", "sparse"):
         st = all_ground(topo.n_sites, backend)
-        apply_schedule(st, topo, seq_init(topo))
-        apply_schedule(st, topo, seq_exchange())
+        apply_schedule(st, topo, PulseSchedule(["INIT"]))
+        apply_schedule(st, topo, PulseSchedule(["EXC"]))
     assert topo.tables  # class masks were built
     ref = weakref.ref(topo)
     del topo
