@@ -141,8 +141,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--tolerance must be finite and in [0, 1), got {args.tolerance}")
     if args.trials < 0:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
+    check_size(topology.site_count(args.n, topology.BASELINE), args.backend)  # before building the device
     topo = topology.build_conveyor(args.n)
-    check_size(topo.n_sites, args.backend)  # before any 2^N logical vector
     with open(args.circuit) as f:
         circuit = compiler.parse_circuit(f.read(), args.n)
     inputs = {args.circuit: _digest(args.circuit)}
@@ -217,8 +217,16 @@ def cmd_blockade_sweep(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ValueError, so it is reported like any other
+    invalid input.  Subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="conveyorqc")
+    parser = _Parser(prog="conveyorqc")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("topology", help="build and save a device graph")
@@ -261,8 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # argparse sets `command` on this namespace before it parses the
+    # subcommand's options, so a usage error names its command, if any.
+    args = argparse.Namespace(command=None)
     try:
+        build_parser().parse_args(argv, namespace=args)
         return args.func(args)
     except (ValueError, OSError) as e:
         _report(command=args.command, status="error", error=str(e))

@@ -12,10 +12,11 @@ A logical SWAP is therefore a placement relabel and emits no pulse.
 
 Routing is pulse-cost aware.  One Dijkstra search over (tracked positions,
 phase) weighs each move, and a CNOT's gate body, by the pulses `_Emitter`
-emits for it at that phase, measured once on a scratch routing state.  A
-Toffoli may end with its controls on either of Q_1, Q_3; a CNOT tracks only
-its two operands and flips whichever qubit routing leaves on the other
-control site.
+emits for it at that phase, measured once on a scratch routing state.  The
+moves are an exchange either way and the phase-keeping swaps of Q_2 with Q_1
+or Q_3; Q_1 and Q_3 trade through Q_2.  A Toffoli may end with its controls
+on either of Q_1, Q_3; a CNOT tracks only its two operands and flips
+whichever qubit routing leaves on the other control site.
 """
 
 from __future__ import annotations
@@ -117,8 +118,8 @@ def route_to_Q2(j: int, phase: PhaseLabel, n: int) -> int:
     return (2 - j) % n if _travels_forward(j, phase) else (j - 2) % n
 
 
-MOVES = ("EXC", "EXC_INV", "SWAP_Q1Q2", "SWAP_Q2Q3", "SWAP_Q1Q3")
-_SWAP_SITES = {"SWAP_Q1Q2": (1, 2), "SWAP_Q2Q3": (2, 3), "SWAP_Q1Q3": (1, 3)}
+_SWAP_SITES = {"SWAP_Q1Q2": (1, 2), "SWAP_Q2Q3": (2, 3)}
+MOVES = ("EXC", "EXC_INV", *_SWAP_SITES)
 
 
 class _Emitter:
@@ -172,33 +173,18 @@ class _Emitter:
         self.pulse_at(target_pos, math.pi, HADAMARD_AXIS)
         self.pulse_at(2, math.pi, HADAMARD_AXIS)
 
-    def swap_positions(self, x: int, y: int) -> None:
-        """Physically exchange the occupants of two of Q_1..Q_3 and relabel
-        the placement, so the tracked logical content is unchanged.  The phase
-        is kept: Q_2 trades with Q_1 or Q_3 through three CNOTs, and Q_1 with
-        Q_3 through Q_2."""
-        pair = (min(x, y), max(x, y))
-        if pair == (1, 3):
-            for step in ((1, 2), (2, 3), (1, 2)):
-                self.swap_positions(*step)
-        elif pair in ((1, 2), (2, 3)):
-            for cnot in (self.cnot_towards_q2, self.cnot_from_q2, self.cnot_towards_q2):
-                cnot(x + y - 2)  # the site other than Q_2
-            self._track(f"SWAP_Q{pair[0]}Q{pair[1]}")
-        else:
-            raise ValueError(f"fixed-site swaps exist only among Q_1..Q_3, got {pair}")
-
     def do_move(self, move: str) -> None:
+        """Emit `move` and track it.  A fixed-site swap keeps the phase: Q_2
+        trades occupants with Q_1 or Q_3 through three CNOTs."""
         if move in ("EXC", "EXC_INV"):
             self.sched.append(move)
-            self._track(move)
         elif move in _SWAP_SITES:
-            self.swap_positions(*_SWAP_SITES[move])
+            other = sum(_SWAP_SITES[move]) - 2  # the site other than Q_2
+            for cnot in (self.cnot_towards_q2, self.cnot_from_q2, self.cnot_towards_q2):
+                cnot(other)
         else:
             raise ValueError(f"unknown routing move {move!r}")
-
-    def finish(self) -> PulseSchedule:
-        return self.sched
+        self._track(move)
 
 
 # --- routing search ---------------------------------------------------------------
@@ -275,8 +261,8 @@ def bfs_route(targets: tuple[int, int, int], routing: RoutingState) -> list[str]
     unit-weight call of the routing search.
 
     The search space is (pos_a, pos_b, pos_c, phase); moves are exchanges in
-    either direction plus the three fixed-site swaps, so every arrangement is
-    reachable.  Does not mutate `routing`.
+    either direction plus the two fixed-site swaps, Q_1 with Q_2 and Q_2 with
+    Q_3, so every arrangement is reachable.  Does not mutate `routing`.
     """
     return _cheapest_route(
         targets, routing, lambda *_: 1, lambda positions, *_: 0 if positions == (1, 3, 2) else None
@@ -302,7 +288,7 @@ def _toffoli_end(positions, phase: PhaseLabel, n: int):
 def macro_single_qubit(j: int, theta: float, axis, routing: RoutingState) -> PulseSchedule:
     em = _Emitter(routing)
     em.pulse_at(routing.placement[j - 1], theta, axis)
-    return em.finish()
+    return em.sched
 
 
 def _routed(operands: tuple[int, ...], routing: RoutingState, end_cost) -> _Emitter:
@@ -322,7 +308,7 @@ def macro_cnot(a: int, c: int, routing: RoutingState) -> PulseSchedule:
         raise ValueError("CNOT needs two distinct qubits")
     em = _routed((a, c), routing, _cnot_end)
     em.cnot_towards_q2(routing.placement[a - 1])
-    return em.finish()
+    return em.sched
 
 
 def macro_swap(a: int, b: int, routing: RoutingState) -> PulseSchedule:
@@ -341,7 +327,7 @@ def macro_toffoli(a: int, b: int, c: int, routing: RoutingState) -> PulseSchedul
         raise ValueError("TOFFOLI needs three distinct qubits")
     em = _routed((a, b, c), routing, _toffoli_end)
     em.toffoli()
-    return em.finish()
+    return em.sched
 
 
 @dataclass

@@ -194,10 +194,11 @@ def parse_schedule(text: str) -> tuple[PulseSchedule, dict[str, str]]:
     """Parse the schedule text format; a MACRO line becomes one named step.
 
     Trailer comments of the form '# key: value' are collected into the
-    returned metadata dict.
+    returned metadata dict; each key may be given once.
     """
     schedule = PulseSchedule()
     meta: dict[str, str] = {}
+    meta_line: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -206,7 +207,10 @@ def parse_schedule(text: str) -> tuple[PulseSchedule, dict[str, str]]:
             body = line[1:].strip()
             if ":" in body:
                 key, _, value = body.partition(":")
-                meta[key.strip()] = value.strip()
+                key = key.strip()
+                if key in meta_line:
+                    raise ValueError(f"line {line_no}: trailer {key!r} already given on line {meta_line[key]}")
+                meta[key], meta_line[key] = value.strip(), line_no
             continue
         fields = line.split()
         if fields[0] == "MACRO":

@@ -136,6 +136,12 @@ def _normalize_edges(edges) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((min(i, j), max(i, j)) for i, j in edges))
 
 
+def site_count(n_logical: int, kind: str) -> int:
+    """Sites of a well-built device: the 4N-site loop plus the in-loop qubit
+    (baseline) or the two couplers (variants)."""
+    return 4 * n_logical + (1 if kind == BASELINE else 2)
+
+
 def _loop_sites(n_logical: int) -> list[Site]:
     loop_len = 4 * n_logical
     triangle = {0, 4, 8}  # Q_1..Q_3 gain the in-loop neighbor
@@ -216,7 +222,7 @@ def validate(topo: DeviceTopology) -> list[str]:
     derived index convention; returns a list of violations (empty = ok)."""
     bad: list[str] = []
     by_id = {s.index: s for s in topo.sites}
-    expected_count = 4 * topo.n_logical + (1 if topo.kind == BASELINE else 2)
+    expected_count = site_count(topo.n_logical, topo.kind)
     if topo.n_sites != expected_count:
         bad.append(f"site count {topo.n_sites} != {expected_count} for kind {topo.kind}")
     if set(by_id) != set(range(topo.n_sites)):

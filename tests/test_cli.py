@@ -230,6 +230,22 @@ def test_verify_rejects_final_placement_that_is_not_a_permutation(tmp_path, caps
     assert str(sched) in report["error"] and "final_placement" in report["error"]
 
 
+def test_verify_rejects_repeated_schedule_trailer(tmp_path, capsys):
+    # A second final_placement must not silently replace the compiled one.
+    circ = tmp_path / "circ.txt"
+    circ.write_text("X q=1\nSWAP a=1 b=2\n")
+    sched = tmp_path / "sched.txt"
+    run_cli(capsys, "compile", "--circuit", str(circ), "--n", "4", "--out", str(sched))
+    assert "# final_placement: 2,1,3,4" in sched.read_text()
+    with sched.open("a") as f:
+        f.write("# final_placement: 1,2,3,4\n")
+    code, report = run_cli(
+        capsys, "verify", "--circuit", str(circ), "--n", "4", "--schedule", str(sched), "--trials", "1"
+    )
+    assert code == 2 and report["status"] == "error"
+    assert "'final_placement' already given on line" in report["error"]
+
+
 def test_verify_empty_circuit(tmp_path, capsys):
     circ = tmp_path / "empty.txt"
     circ.write_text("")
@@ -387,13 +403,21 @@ def test_dense_backend_holds_n8_device(tmp_path, capsys):
     assert peak < 16, f"verify traced peak {peak:.1f} MiB"
 
 
-@pytest.mark.parametrize("command", ["verify", "run"])
-def test_device_too_large_for_any_state_is_refused_before_allocating(tmp_path, capsys, command):
-    # N=40 has 161 sites; its 2^40 logical vector alone would be 16 TiB.
+@pytest.mark.parametrize(
+    "command, n",
+    [
+        pytest.param("verify", 40, id="verify"),
+        pytest.param("verify", 1000000, id="verify-1000000"),
+        pytest.param("run", 40, id="run"),
+    ],
+)
+def test_device_too_large_for_any_state_is_refused_before_allocating(tmp_path, capsys, command, n):
+    # N=40 has 161 sites; its 2^40 logical vector alone would be 16 TiB.  At
+    # N=1000000 even the device graph would take gigabytes.
     if command == "verify":
         circ = tmp_path / "empty.txt"
         circ.write_text("")
-        argv = ["verify", "--circuit", str(circ), "--n", "40", "--trials", "0"]
+        argv = ["verify", "--circuit", str(circ), "--n", str(n), "--trials", "0"]
     else:
         topo_file, psi_file, sched = tmp_path / "topo40.json", tmp_path / "psi.csv", tmp_path / "exc.txt"
         run_cli(capsys, "topology", "--n", "40", "--out", str(topo_file))
@@ -402,7 +426,8 @@ def test_device_too_large_for_any_state_is_refused_before_allocating(tmp_path, c
         argv = ["run", "--topology", str(topo_file), "--schedule", str(sched), "--initial-state", str(psi_file),
                 "--out", str(tmp_path / "s.csv")]
     code, report, peak = _traced_peak_mib(capsys, *argv, "--backend", "sparse")
-    assert code == 2 and report["status"] == "error" and "161 qubits exceed the limit of 63" in report["error"]
+    assert code == 2 and report["status"] == "error"
+    assert f"{4 * n + 1} qubits exceed the limit of 63" in report["error"]
     assert peak < 16, f"{command} traced peak {peak:.1f} MiB"
 
 
@@ -448,6 +473,24 @@ def test_verify_rejects_malformed_numbers(tmp_path, capsys, flag, value, message
     circ.write_text("X q=1\n")
     code, report = run_cli(capsys, "verify", "--circuit", str(circ), "--n", "4", flag, value)
     assert code == 2 and report["status"] == "error" and message in report["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        pytest.param(["compile", "--n", "abc", "--circuit", "c.txt", "--out", "s.txt"], "compile", id="bad-int"),
+        pytest.param(["verify", "--circuit", "c.txt", "--n", "4", "--trials", "1.5"], "verify", id="float-trials"),
+        pytest.param([], None, id="no-command"),
+        pytest.param(["transpile", "--n", "4"], None, id="unknown-command"),
+        pytest.param(["compile", "--circuit", "c.txt", "--n", "4"], "compile", id="missing-out"),
+    ],
+)
+def test_usage_error_prints_one_json_error_line(capsys, argv, command):
+    code = main(argv)
+    out = capsys.readouterr().out.splitlines()
+    assert code == 2 and len(out) == 1
+    report = json.loads(out[0])
+    assert report["status"] == "error" and report["command"] == command
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conveyorqc.compiler import (
     GATE_ARITY,
+    MOVES,
     LogicalCircuit,
     LogicalGate,
     apply_move,
@@ -111,10 +113,17 @@ def test_bfs_route_basic():
     routing = initial_routing(4)
     assert bfs_route((1, 3, 2), routing) == []
 
-    # a at Q3, b at Q1, c at Q2: one fixed-site swap suffices
+    # a at Q3, b at Q1, c at Q2: Q_1 and Q_3 trade through Q_2 in three swaps
     routing = initial_routing(4)
     routing.placement = [3, 2, 1, 4]  # logical 1 at Q3, logical 3 at Q1
-    assert bfs_route((1, 3, 2), routing) == ["SWAP_Q1Q3"]
+    assert bfs_route((1, 3, 2), routing) == ["SWAP_Q1Q2", "SWAP_Q2Q3", "SWAP_Q1Q2"]
+    # and no route of one or two moves exists
+    for length in (1, 2):
+        for moves in itertools.product(MOVES, repeat=length):
+            positions, phase = (3, 1, 2), routing.phase
+            for move in moves:
+                positions, phase = apply_move(positions, phase, move, 4)
+            assert positions != (1, 3, 2), moves
 
 
 def test_bfs_route_replay_random():
