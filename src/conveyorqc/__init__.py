@@ -41,6 +41,6 @@ from .state import (
     to_dense,
     to_sparse,
 )
-from .topology import DeviceTopology, build_conveyor, build_variant, neighbors, validate
+from .topology import DeviceTopology, build_conveyor, build_variant, neighbors
 
 __version__ = "0.1.0"

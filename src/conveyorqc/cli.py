@@ -56,10 +56,6 @@ def cmd_topology(args) -> int:
         topo = topology.build_variant(args.variant, args.n)
     else:
         topo = topology.build_conveyor(args.n)
-    violations = topology.validate(topo)
-    if violations:
-        _report(command="topology", status="invalid", violations=violations)
-        return 2
     topology.save(topo, args.out)
     _report(
         command="topology",
@@ -75,11 +71,10 @@ def cmd_topology(args) -> int:
 
 
 def _load_topology(path: str):
-    topo = topology.load(path)
-    violations = topology.validate(topo)
-    if violations:
-        raise ValueError(f"topology file {path} is invalid: {violations}")
-    return topo
+    try:
+        return topology.load(path)
+    except ValueError as e:
+        raise ValueError(f"topology file {path}: {e}") from None
 
 
 def cmd_run(args) -> int:
@@ -275,9 +270,12 @@ def main(argv=None) -> int:
     try:
         build_parser().parse_args(argv, namespace=args)
         return args.func(args)
-    except (ValueError, OSError) as e:
-        _report(command=args.command, status="error", error=str(e))
-        return 2
+    except (ValueError, OSError, MemoryError) as e:
+        error = str(e) or "out of memory"
+    # Reported once the handler has exited, which frees what a MemoryError's
+    # traceback holds.
+    _report(command=args.command, status="error", error=error)
+    return 2
 
 
 if __name__ == "__main__":

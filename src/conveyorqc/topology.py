@@ -217,101 +217,33 @@ def neighbors(topo: DeviceTopology, site: int) -> frozenset[int]:
     return topo.neighbor_map[site]
 
 
-def validate(topo: DeviceTopology) -> list[str]:
-    """Check every structural invariant of the stored graph against the
-    derived index convention; returns a list of violations (empty = ok)."""
-    bad: list[str] = []
-    by_id = {s.index: s for s in topo.sites}
-    expected_count = site_count(topo.n_logical, topo.kind)
-    if topo.n_sites != expected_count:
-        bad.append(f"site count {topo.n_sites} != {expected_count} for kind {topo.kind}")
-    if set(by_id) != set(range(topo.n_sites)):
-        bad.append("site ids are not 0..n_sites-1")
-    bad += [f"edge ({i},{j}) names an unknown site" for i, j in topo.edges if not {i, j} <= by_id.keys()]
-    if bad:
-        return bad  # structure too broken for the remaining checks
-
-    nbrs = topo.neighbor_map
-    for i, j in topo.edges:
-        if i == j:
-            bad.append(f"self-loop edge at site {i}")
-        if by_id[i].species.family is by_id[j].species.family:
-            bad.append(f"edge ({i},{j}) joins two {by_id[i].species.family.value}-family sites")
-
-    for s in topo.sites:
-        loop_degree = sum(1 for k in nbrs[s.index] if by_id[k].on_loop)
-        if s.on_loop and loop_degree != 2:
-            bad.append(f"loop site {s.index} has {loop_degree} loop neighbors, expected 2")
-        if s.triangle_corrected != (len(nbrs[s.index]) == 3):
-            bad.append(
-                f"site {s.index}: triangle_corrected={s.triangle_corrected} but degree="
-                f"{len(nbrs[s.index])}"
-            )
-
-    for j, q in enumerate(topo.ic_sites, start=1):
-        if by_id[q].species.family is not Family.B:
-            bad.append(f"IC site Q_{j} (id {q}) is not B-family")
-    b_crossed = [s.index for s in topo.sites if s.species == Species(Family.B, Crossing.CROSSED)]
-    if b_crossed != [topo.ic_sites[1]]:
-        bad.append(f"unique B-crossed must be Q_2 (id {topo.ic_sites[1]}), found {b_crossed}")
-
-    if topo.kind == BASELINE:
-        a_crossed = [s.index for s in topo.sites if s.species == Species(Family.A, Crossing.CROSSED)]
-        if a_crossed != [topo.central_site]:
-            bad.append(f"unique A-crossed must be the in-loop site, found {a_crossed}")
-        elif nbrs[topo.central_site] != frozenset(topo.ic_sites[:3]):
-            bad.append(
-                f"in-loop site must couple exactly Q_1,Q_2,Q_3, found {sorted(nbrs[topo.central_site])}"
-            )
-        allowed = {
-            Species(Family.A, Crossing.REGULAR),
-            Species(Family.A, Crossing.CROSSED),
-            Species(Family.B, Crossing.REGULAR),
-            Species(Family.B, Crossing.CROSSED),
-        }
-        extra = {s.species for s in topo.sites} - allowed
-        if extra:
-            bad.append(f"baseline design contains unexpected species {sorted(x.label() for x in extra)}")
-    else:
-        for cid, (qa, qb) in topo.coupler_pairs:
-            if nbrs.get(cid) != frozenset({qa, qb}):
-                bad.append(f"coupler {cid} must couple exactly {{{qa},{qb}}}, found {sorted(nbrs.get(cid, ()))}")
-
-    for j, (a1, b2, a3) in enumerate(topo.sectors, start=1):
-        want = (Family.A, Family.B, Family.A)
-        got = tuple(by_id[i].species.family for i in (a1, b2, a3))
-        if got != want:
-            bad.append(f"sector S_{j} species pattern {tuple(f.value for f in got)} != (A, B, A)")
-    return bad
-
-
 # --- serialization (format 1) -------------------------------------------------
+
+def _site_json(s: Site) -> dict:
+    return {
+        "index": s.index,
+        "family": s.species.family.value,
+        "crossing": s.species.crossing.value,
+        "triangle_corrected": s.triangle_corrected,
+        "on_loop": s.on_loop,
+    }
+
 
 def to_json_dict(topo: DeviceTopology) -> dict:
     return {
         "format": FORMAT_VERSION,
         "kind": topo.kind,
         "n_logical": topo.n_logical,
-        "sites": [
-            {
-                "index": s.index,
-                "family": s.species.family.value,
-                "crossing": s.species.crossing.value,
-                "triangle_corrected": s.triangle_corrected,
-                "on_loop": s.on_loop,
-            }
-            for s in topo.sites
-        ],
+        "sites": [_site_json(s) for s in topo.sites],
         "edges": [list(e) for e in topo.edges],
     }
 
 
 def from_json_dict(doc: dict) -> DeviceTopology:
-    """Rebuild a topology from its serialized form.
+    """Rebuild the device a serialized document names by its kind and N.
 
-    Sites and edges are taken verbatim from the document so that invalid
-    hand-built graphs survive the round trip and can be reported by
-    ``validate``.
+    The document's site table and edge list must repeat that device's
+    exactly (sites in any order); any difference raises ``ValueError``.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"topology document must be a JSON object, got {type(doc).__name__}")
@@ -330,20 +262,30 @@ def _from_json_fields(doc: dict) -> DeviceTopology:
     if kind != BASELINE and kind not in VARIANT_KINDS:
         raise ValueError(f"unknown topology kind {kind!r}")
     n = int(doc["n_logical"])
-    min_n = 4 if kind == BASELINE else 8  # the builders' minimum: Q_1..Q_3, or Q_8 for couplers
-    if n < min_n:
-        raise ValueError(f"a {kind} topology needs n_logical >= {min_n}, got {n}")
-    sites = tuple(
-        Site(
-            int(s["index"]),
-            Species(Family(s["family"]), Crossing(s["crossing"])),
-            bool(s["triangle_corrected"]),
-            bool(s.get("on_loop", int(s["index"]) < 4 * n)),
-        )
-        for s in doc["sites"]
+    sites = sorted(
+        (
+            Site(
+                int(s["index"]),
+                Species(Family(s["family"]), Crossing(s["crossing"])),
+                bool(s["triangle_corrected"]),
+                bool(s.get("on_loop", int(s["index"]) < 4 * n)),
+            )
+            for s in doc["sites"]
+        ),
+        key=lambda s: s.index,
     )
     edges = _normalize_edges(tuple((int(i), int(j)) for i, j in doc["edges"]))
-    return DeviceTopology(n, kind, sites, edges)
+    expected_count = site_count(n, kind)
+    if len(sites) != expected_count:  # before building anything sized by N
+        raise ValueError(f"site count {len(sites)} != {expected_count} for kind {kind}")
+    topo = build_conveyor(n) if kind == BASELINE else build_variant(kind, n)
+    for got, want in zip(sites, topo.sites):
+        if got != want:
+            raise ValueError(f"site {_site_json(got)} differs from the {kind} device's {_site_json(want)}")
+    if edges != topo.edges:
+        diff = sorted(set(edges) ^ set(topo.edges))
+        raise ValueError(f"edges {diff} differ from the {kind} device" if diff else "an edge is listed twice")
+    return topo
 
 
 def save(topo: DeviceTopology, path) -> None:

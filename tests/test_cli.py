@@ -374,14 +374,35 @@ def test_run_rejects_topology_with_edge_to_unknown_site(tmp_path, capsys):
     doc = to_json_dict(build_conveyor(4))
     doc["edges"].append([0, 99])
     code, report = _run_on_topology_doc(tmp_path, capsys, doc)
-    assert code == 2 and report["status"] == "error" and "edge (0,99) names an unknown site" in report["error"]
+    assert code == 2 and report["status"] == "error" and "(0, 99)" in report["error"]
 
 
 def test_run_rejects_variant_topology_below_eight_qubits(tmp_path, capsys):
     doc = to_json_dict(build_conveyor(4))
     doc["kind"] = "two_coupler_three_species"
     code, report = _run_on_topology_doc(tmp_path, capsys, doc)
-    assert code == 2 and report["status"] == "error" and "n_logical >= 8" in report["error"]
+    assert code == 2 and report["status"] == "error" and "site count 17 != 18" in report["error"]
+
+
+def test_run_rejects_topology_whose_loop_is_reordered(tmp_path, capsys):
+    # Q_2-5-Q_3-7-6-9: bipartite, every degree as built, yet not the device.
+    doc = to_json_dict(build_conveyor(4))
+    doc["edges"] = [e for e in doc["edges"] if e not in ([5, 6], [8, 9])] + [[5, 8], [6, 9]]
+    code, report = _run_on_topology_doc(tmp_path, capsys, doc)
+    assert code == 2 and report["status"] == "error"
+    assert "edges [(5, 6), (5, 8), (6, 9), (8, 9)] differ from the baseline device" in report["error"]
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_out_of_memory_is_reported_as_invalid_input(tmp_path, capsys, monkeypatch):
+    def exhausted(n_logical):
+        raise MemoryError
+
+    monkeypatch.setattr("conveyorqc.topology.build_conveyor", exhausted)
+    code = main(["topology", "--n", "1000000", "--out", str(tmp_path / "t.json")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2 and len(lines) == 1
+    assert json.loads(lines[0]) == {"command": "topology", "status": "error", "error": "out of memory"}
 
 
 def test_dense_backend_holds_n8_device(tmp_path, capsys):

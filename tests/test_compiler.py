@@ -333,6 +333,20 @@ def test_compile_random_circuits_end_to_end():
         assert fid >= 1 - 1e-8
 
 
+# Pulse totals of the 30 depth-10 circuits random_circuit draws from seeds
+# 0-29, per N. A change that lowers a total lowers it here; none may raise one.
+PULSE_TOTALS = {4: 24_194, 6: 57_546, 8: 102_284}
+
+
+@pytest.mark.parametrize("n, ceiling", PULSE_TOTALS.items())
+def test_pulse_total_of_seeded_circuits_does_not_rise(n, ceiling):
+    topo = build_conveyor(n)
+    total = sum(
+        compile_circuit(random_circuit(n, 10, np.random.default_rng(seed)), topo).pulse_count for seed in range(30)
+    )
+    assert total <= ceiling
+
+
 @pytest.mark.parametrize(
     "gate",
     [

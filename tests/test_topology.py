@@ -11,7 +11,6 @@ from conveyorqc.topology import (
     from_json_dict,
     neighbors,
     to_json_dict,
-    validate,
 )
 
 
@@ -23,7 +22,6 @@ def test_baseline_n8_counts():
     a_corr = [s for s in corrected if s.species.family is Family.A]
     assert sorted(s.index for s in b_corr) == [0, 4, 8]  # Q_1, Q_2, Q_3
     assert [s.index for s in a_corr] == [32]
-    assert validate(topo) == []
 
 
 def test_baseline_n4_structure():
@@ -52,12 +50,15 @@ def test_neighbor_examples():
 @pytest.mark.parametrize("n", [4, 6, 8, 10])
 def test_validate_ok_and_invariants(n):
     topo = build_conveyor(n)
-    assert validate(topo) == []
     by_id = {s.index: s for s in topo.sites}
     for i, j in topo.edges:
         assert by_id[i].species.family is not by_id[j].species.family
     for s in topo.sites:
         assert s.triangle_corrected == (len(topo.neighbor_map[s.index]) == 3)
+        if s.on_loop:
+            assert sum(by_id[k].on_loop for k in topo.neighbor_map[s.index]) == 2
+    assert topo.sites_of(Family.B, Crossing.CROSSED) == (topo.ic_sites[1],)
+    assert topo.sites_of(Family.A, Crossing.CROSSED) == (topo.central_site,)
     covered = set(topo.ic_sites) | {i for sec in topo.sectors for i in sec}
     covered.add(topo.central_site)
     assert covered == {s.index for s in topo.sites}
@@ -66,9 +67,8 @@ def test_validate_ok_and_invariants(n):
 def test_validate_reports_extra_edge():
     doc = to_json_dict(build_conveyor(4))
     doc["edges"].append([1, 6])  # two loop sites that are not adjacent
-    bad = validate(from_json_dict(doc))
-    assert any("loop site" in v for v in bad)
-    assert any("triangle_corrected" in v for v in bad)
+    with pytest.raises(ValueError, match=r"edges \[\(1, 6\)\] differ"):
+        from_json_dict(doc)
 
 
 def test_validate_reports_wrong_crossing():
@@ -76,14 +76,31 @@ def test_validate_reports_wrong_crossing():
     for s in doc["sites"]:
         if s["index"] == 4:
             s["crossing"] = "regular"
-    bad = validate(from_json_dict(doc))
-    assert any("B-crossed" in v for v in bad)
+    with pytest.raises(ValueError, match="site {'index': 4, 'family': 'B', 'crossing': 'regular'"):
+        from_json_dict(doc)
+
+
+def test_load_rejects_reordered_loop():
+    # Q_2-5-Q_3-7-6-9: every site keeps two loop neighbours and the graph stays
+    # bipartite, but the loop no longer runs in index order.
+    doc = to_json_dict(build_conveyor(4))
+    doc["edges"] = [e for e in doc["edges"] if e not in ([5, 6], [8, 9])] + [[5, 8], [6, 9]]
+    with pytest.raises(ValueError, match=r"edges \[\(5, 6\), \(5, 8\), \(6, 9\), \(8, 9\)\] differ"):
+        from_json_dict(doc)
+
+
+def test_load_rejects_repeated_edge_and_accepts_any_site_order():
+    doc = to_json_dict(build_conveyor(4))
+    doc["sites"].reverse()
+    assert from_json_dict(doc) == build_conveyor(4)
+    doc["edges"].append([1, 0])
+    with pytest.raises(ValueError, match="listed twice"):
+        from_json_dict(doc)
 
 
 def test_variant_three_species():
     topo = build_variant("two_coupler_three_species", 8)
     assert topo.n_sites == 34
-    assert validate(topo) == []
     (c1, pair1), (c2, pair2) = topo.coupler_pairs
     assert pair1 == (topo.ic_sites[0], topo.ic_sites[2])  # Q_1, Q_3
     assert pair2 == (topo.ic_sites[3], topo.ic_sites[7])  # Q_4, Q_8
@@ -95,7 +112,6 @@ def test_variant_three_species():
 
 def test_variant_double_crossed_species():
     topo = build_variant("two_coupler_double_crossed", 8)
-    assert validate(topo) == []
     (c1, _), (c2, _) = topo.coupler_pairs
     assert topo.sites[c1].species == Species(Family.A, Crossing.CROSSED)
     assert topo.sites[c2].species == Species(Family.A, Crossing.DOUBLE_CROSSED)
@@ -118,7 +134,6 @@ def test_json_round_trip(builder):
     assert doc["format"] == 1
     again = from_json_dict(doc)
     assert again == topo
-    assert validate(again) == []
 
 
 def test_json_rejects_unknown_format():
